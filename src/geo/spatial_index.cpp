@@ -1,12 +1,64 @@
 #include "geo/spatial_index.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <limits>
+#include <span>
 #include <stdexcept>
 
 namespace tl::geo {
 
 using tl::util::GeoPoint;
+
+namespace {
+
+// Every distance bound the search stops on is shrunk by this much, so that
+// rounding in a point's cell or in a distance can only widen the search.
+constexpr double kSlackKm = 1e-6;
+
+// nearest_k keeps up to this many candidates on the stack.
+constexpr std::size_t kInlineK = 8;
+
+}  // namespace
+
+/// The k best (squared distance, item) pairs offered so far, kept ascending
+/// in that order: the order a brute-force sort gives, ties broken by item.
+class SpatialIndex::TopK {
+ public:
+  struct Slot {
+    double d2;
+    std::uint32_t item;
+    bool operator<(const Slot& o) const noexcept {
+      return d2 < o.d2 || (d2 == o.d2 && item < o.item);
+    }
+  };
+
+  explicit TopK(std::span<Slot> slots) noexcept : slots_(slots) {}
+
+  void offer(double d2, std::uint32_t item) noexcept {
+    const Slot s{d2, item};
+    std::size_t i = n_;
+    if (n_ == slots_.size()) {
+      if (!(s < slots_[n_ - 1])) return;
+      --i;
+    } else {
+      ++n_;
+    }
+    for (; i > 0 && s < slots_[i - 1]; --i) slots_[i] = slots_[i - 1];
+    slots_[i] = s;
+  }
+
+  bool full() const noexcept { return n_ == slots_.size(); }
+  /// The k-th best squared distance (only meaningful when full()).
+  double worst_d2() const noexcept { return slots_[n_ - 1].d2; }
+  std::size_t size() const noexcept { return n_; }
+  std::uint32_t item(std::size_t i) const noexcept { return slots_[i].item; }
+
+ private:
+  std::span<Slot> slots_;
+  std::size_t n_ = 0;
+};
 
 SpatialIndex::SpatialIndex(double width_km, double height_km, double cell_km)
     : width_km_(width_km), height_km_(height_km), cell_km_(cell_km) {
@@ -18,55 +70,77 @@ SpatialIndex::SpatialIndex(double width_km, double height_km, double cell_km)
   cells_.resize(static_cast<std::size_t>(nx_) * static_cast<std::size_t>(ny_));
 }
 
-std::size_t SpatialIndex::cell_of(const GeoPoint& p) const noexcept {
-  int cx = static_cast<int>(p.x_km / cell_km_);
-  int cy = static_cast<int>(p.y_km / cell_km_);
-  cx = std::clamp(cx, 0, nx_ - 1);
-  cy = std::clamp(cy, 0, ny_ - 1);
-  return static_cast<std::size_t>(cy) * static_cast<std::size_t>(nx_) +
-         static_cast<std::size_t>(cx);
+int SpatialIndex::column_of(double x_km) const noexcept {
+  return static_cast<int>(
+      std::clamp(std::floor(x_km / cell_km_), 0.0, static_cast<double>(nx_ - 1)));
+}
+
+int SpatialIndex::row_of(double y_km) const noexcept {
+  return static_cast<int>(
+      std::clamp(std::floor(y_km / cell_km_), 0.0, static_cast<double>(ny_ - 1)));
 }
 
 void SpatialIndex::insert(const GeoPoint& p, std::uint32_t item) {
-  cells_[cell_of(p)].push_back({p, item});
+  cells_[static_cast<std::size_t>(row_of(p.y_km)) * static_cast<std::size_t>(nx_) +
+         static_cast<std::size_t>(column_of(p.x_km))]
+      .push_back({p, item});
   ++count_;
 }
 
-void SpatialIndex::cells_in_ring(int cx, int cy, int ring,
-                                 std::vector<std::size_t>& out) const {
-  const auto push = [&](int x, int y) {
-    if (x >= 0 && x < nx_ && y >= 0 && y < ny_) {
-      out.push_back(static_cast<std::size_t>(y) * static_cast<std::size_t>(nx_) +
-                    static_cast<std::size_t>(x));
+void SpatialIndex::offer_cell(int x, int y, const GeoPoint& p, TopK& top) const {
+  for (const Entry& e : cells_[static_cast<std::size_t>(y) * static_cast<std::size_t>(nx_) +
+                               static_cast<std::size_t>(x)]) {
+    top.offer(tl::util::squared_distance_km2(e.point, p), e.item);
+  }
+}
+
+void SpatialIndex::search_rings(const GeoPoint& p, TopK& top) const {
+  const int cx = column_of(p.x_km);
+  const int cy = row_of(p.y_km);
+  for (int ring = 0;; ++ring) {
+    // Ring `ring`: the rows cy -/+ ring across [cx - ring, cx + ring], then
+    // the columns cx -/+ ring between them, clipped to the grid.
+    const int x0 = std::max(cx - ring, 0);
+    const int x1 = std::min(cx + ring, nx_ - 1);
+    const auto offer_row = [&](int y) {
+      for (int x = x0; x <= x1; ++x) offer_cell(x, y, p, top);
+    };
+    if (cy - ring >= 0) offer_row(cy - ring);
+    if (ring > 0 && cy + ring < ny_) offer_row(cy + ring);
+    for (int y = std::max(cy - ring + 1, 0); y <= std::min(cy + ring - 1, ny_ - 1); ++y) {
+      if (cx - ring >= 0) offer_cell(cx - ring, y, p, top);
+      if (ring > 0 && cx + ring < nx_) offer_cell(cx + ring, y, p, top);
     }
-  };
-  if (ring == 0) {
-    push(cx, cy);
-    return;
-  }
-  for (int x = cx - ring; x <= cx + ring; ++x) {
-    push(x, cy - ring);
-    push(x, cy + ring);
-  }
-  for (int y = cy - ring + 1; y <= cy + ring - 1; ++y) {
-    push(cx - ring, y);
-    push(cx + ring, y);
+
+    // Every unsearched cell lies beyond one side of the searched block that
+    // still has cells behind it, so its entries are at least that side's
+    // distance from p away.
+    double gap = std::numeric_limits<double>::infinity();
+    if (cx - ring > 0) gap = std::min(gap, p.x_km - (cx - ring) * cell_km_);
+    if (cx + ring < nx_ - 1) gap = std::min(gap, (cx + ring + 1) * cell_km_ - p.x_km);
+    if (cy - ring > 0) gap = std::min(gap, p.y_km - (cy - ring) * cell_km_);
+    if (cy + ring < ny_ - 1) gap = std::min(gap, (cy + ring + 1) * cell_km_ - p.y_km);
+    if (gap == std::numeric_limits<double>::infinity()) return;  // whole grid searched
+    const double safe_gap = gap - kSlackKm;
+    // Strictly below: an unsearched entry at exactly the k-th distance could
+    // still win the tie on its item.
+    if (top.full() && safe_gap > 0.0 && top.worst_d2() < safe_gap * safe_gap) return;
   }
 }
 
 std::vector<std::uint32_t> SpatialIndex::query_radius(const GeoPoint& p,
                                                       double radius_km) const {
   std::vector<std::uint32_t> out;
-  const int cx = std::clamp(static_cast<int>(p.x_km / cell_km_), 0, nx_ - 1);
-  const int cy = std::clamp(static_cast<int>(p.y_km / cell_km_), 0, ny_ - 1);
-  const int max_ring = static_cast<int>(std::ceil(radius_km / cell_km_)) + 1;
   const double r2 = radius_km * radius_km;
-  std::vector<std::size_t> ring_cells;
-  for (int ring = 0; ring <= max_ring; ++ring) {
-    ring_cells.clear();
-    cells_in_ring(cx, cy, ring, ring_cells);
-    for (const std::size_t c : ring_cells) {
-      for (const Entry& e : cells_[c]) {
+  const double reach = radius_km + kSlackKm;
+  const int x0 = column_of(p.x_km - reach);
+  const int x1 = column_of(p.x_km + reach);
+  const int y0 = row_of(p.y_km - reach);
+  const int y1 = row_of(p.y_km + reach);
+  for (int y = y0; y <= y1; ++y) {
+    for (int x = x0; x <= x1; ++x) {
+      for (const Entry& e : cells_[static_cast<std::size_t>(y) * static_cast<std::size_t>(nx_) +
+                                   static_cast<std::size_t>(x)]) {
         if (tl::util::squared_distance_km2(e.point, p) <= r2) out.push_back(e.item);
       }
     }
@@ -80,32 +154,15 @@ std::uint32_t SpatialIndex::nearest(const GeoPoint& p) const {
 }
 
 std::vector<std::uint32_t> SpatialIndex::nearest_k(const GeoPoint& p, std::size_t k) const {
-  std::vector<std::pair<double, std::uint32_t>> found;  // (squared distance, item)
-  if (count_ == 0 || k == 0) return {};
-  const int cx = std::clamp(static_cast<int>(p.x_km / cell_km_), 0, nx_ - 1);
-  const int cy = std::clamp(static_cast<int>(p.y_km / cell_km_), 0, ny_ - 1);
-  const int max_ring = std::max(nx_, ny_);
-  std::vector<std::size_t> ring_cells;
-  int settled_ring = -1;
-  for (int ring = 0; ring <= max_ring; ++ring) {
-    ring_cells.clear();
-    cells_in_ring(cx, cy, ring, ring_cells);
-    for (const std::size_t c : ring_cells) {
-      for (const Entry& e : cells_[c]) {
-        found.emplace_back(tl::util::squared_distance_km2(e.point, p), e.item);
-      }
-    }
-    if (found.size() >= k && settled_ring < 0) {
-      // Entries one ring further out may still be closer than the farthest
-      // candidate (grid cells are square); search exactly one more ring.
-      settled_ring = ring + 1;
-    }
-    if (settled_ring >= 0 && ring >= settled_ring) break;
-  }
-  std::sort(found.begin(), found.end());
-  std::vector<std::uint32_t> out;
-  out.reserve(std::min(k, found.size()));
-  for (std::size_t i = 0; i < found.size() && i < k; ++i) out.push_back(found[i].second);
+  k = std::min(k, count_);
+  if (k == 0) return {};
+  std::array<TopK::Slot, kInlineK> inline_slots;
+  std::vector<TopK::Slot> heap_slots(k > kInlineK ? k : 0);
+  TopK top{k > kInlineK ? std::span<TopK::Slot>{heap_slots}
+                        : std::span<TopK::Slot>{inline_slots}.first(k)};
+  search_rings(p, top);
+  std::vector<std::uint32_t> out(top.size());
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] = top.item(i);
   return out;
 }
 

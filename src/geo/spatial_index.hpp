@@ -24,11 +24,12 @@ class SpatialIndex {
   std::vector<std::uint32_t> query_radius(const tl::util::GeoPoint& p,
                                           double radius_km) const;
 
-  /// The nearest item to `p`, expanding the search ring until found.
+  /// The nearest item to `p`, ties broken by the smaller item.
   /// Returns kNotFound when the index is empty.
   std::uint32_t nearest(const tl::util::GeoPoint& p) const;
 
-  /// Up to `k` nearest items, ordered by distance.
+  /// Up to `k` nearest items, ordered by (distance, item): exactly the
+  /// first `k` of a brute-force sort.
   std::vector<std::uint32_t> nearest_k(const tl::util::GeoPoint& p, std::size_t k) const;
 
   std::size_t size() const noexcept { return count_; }
@@ -40,9 +41,15 @@ class SpatialIndex {
     tl::util::GeoPoint point;
     std::uint32_t item;
   };
+  class TopK;
 
-  std::size_t cell_of(const tl::util::GeoPoint& p) const noexcept;
-  void cells_in_ring(int cx, int cy, int ring, std::vector<std::size_t>& out) const;
+  int column_of(double x_km) const noexcept;
+  int row_of(double y_km) const noexcept;
+  /// Offers every entry of cell (x, y) to `top`.
+  void offer_cell(int x, int y, const tl::util::GeoPoint& p, TopK& top) const;
+  /// Exact k-nearest search: walks square rings of cells around `p`'s cell
+  /// until no unsearched cell can hold a better entry than the k-th best.
+  void search_rings(const tl::util::GeoPoint& p, TopK& top) const;
 
   double width_km_;
   double height_km_;

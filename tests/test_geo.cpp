@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
+#include <ostream>
+#include <string>
+#include <vector>
 
+#include "core/simulator.hpp"
 #include "geo/census.hpp"
 #include "geo/spatial_index.hpp"
 #include "util/rng.hpp"
@@ -142,48 +148,256 @@ TEST(SpatialIndex, QueryRadiusIsExact) {
   EXPECT_EQ(all.size(), 3u);
 }
 
-class SpatialIndexProperty : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(SpatialIndexProperty, NearestMatchesBruteForce) {
-  util::Rng rng{GetParam()};
-  SpatialIndex idx{200.0, 150.0, 7.0};
+/// One index to check against brute force, and the points to query it at.
+/// Item i is points[i].
+struct Layout {
+  double width_km = 0.0;
+  double height_km = 0.0;
+  double cell_km = 0.0;
   std::vector<util::GeoPoint> points;
-  for (std::uint32_t i = 0; i < 500; ++i) {
-    const util::GeoPoint p{rng.uniform(0.0, 200.0), rng.uniform(0.0, 150.0)};
-    points.push_back(p);
-    idx.insert(p, i);
+  std::vector<util::GeoPoint> queries;
+};
+
+SpatialIndex build_index(const Layout& l) {
+  SpatialIndex idx{l.width_km, l.height_km, l.cell_km};
+  for (std::uint32_t i = 0; i < l.points.size(); ++i) idx.insert(l.points[i], i);
+  return idx;
+}
+
+/// The oracle: the first `k` items by (squared distance, item).
+std::vector<std::uint32_t> brute_force(const std::vector<util::GeoPoint>& points,
+                                       const util::GeoPoint& q, std::size_t k) {
+  std::vector<std::pair<double, std::uint32_t>> all;
+  for (std::uint32_t i = 0; i < points.size(); ++i) {
+    all.emplace_back(util::squared_distance_km2(points[i], q), i);
   }
-  for (int trial = 0; trial < 200; ++trial) {
-    const util::GeoPoint q{rng.uniform(0.0, 200.0), rng.uniform(0.0, 150.0)};
-    const std::uint32_t got = idx.nearest(q);
-    double best = std::numeric_limits<double>::infinity();
-    std::uint32_t want = 0;
-    for (std::uint32_t i = 0; i < points.size(); ++i) {
-      const double d = util::squared_distance_km2(points[i], q);
-      if (d < best) {
-        best = d;
-        want = i;
+  k = std::min(k, all.size());
+  std::partial_sort(all.begin(), all.begin() + static_cast<std::ptrdiff_t>(k), all.end());
+  std::vector<std::uint32_t> out;
+  for (std::size_t i = 0; i < k; ++i) out.push_back(all[i].second);
+  return out;
+}
+
+util::GeoPoint uniform_point(util::Rng& rng, double x0, double x1, double y0, double y1) {
+  const double x = rng.uniform(x0, x1);
+  return {x, rng.uniform(y0, y1)};
+}
+
+Layout uniform_layout(std::uint64_t seed) {
+  util::Rng rng{seed};
+  Layout l{200.0, 150.0, 7.0, {}, {}};
+  for (int i = 0; i < 500; ++i) l.points.push_back(uniform_point(rng, 0.0, 200.0, 0.0, 150.0));
+  for (int i = 0; i < 200; ++i) l.queries.push_back(uniform_point(rng, 0.0, 200.0, 0.0, 150.0));
+  return l;
+}
+
+/// Dense Gaussian cores amid sparse rural sites on the deployment's 6 km
+/// grid: far from any core, the first hit can sit in a ring's corner while
+/// a closer site waits two rings out.
+Layout clustered_layout() {
+  util::Rng rng{2024};
+  Layout l{600.0, 480.0, 6.0, {}, {}};
+  std::vector<util::GeoPoint> cores;
+  for (int c = 0; c < 8; ++c) cores.push_back({rng.uniform(50.0, 550.0), rng.uniform(50.0, 430.0)});
+  for (const auto& core : cores) {
+    for (int i = 0; i < 40; ++i) {
+      l.points.push_back({core.x_km + rng.normal(0.0, 1.5), core.y_km + rng.normal(0.0, 1.5)});
+    }
+  }
+  for (int i = 0; i < 60; ++i) l.points.push_back(uniform_point(rng, 0.0, 600.0, 0.0, 480.0));
+  for (int i = 0; i < 4'000; ++i) l.queries.push_back(uniform_point(rng, 0.0, 600.0, 0.0, 480.0));
+  for (const auto& core : cores) {
+    for (int i = 0; i < 250; ++i) {
+      l.queries.push_back({core.x_km + rng.normal(0.0, 8.0), core.y_km + rng.normal(0.0, 8.0)});
+    }
+  }
+  return l;
+}
+
+/// A simulator world's sites, queried where its UEs actually go: the home
+/// and every trace position of each `stride`-th UE over the study's days.
+Layout deployment_layout(const core::StudyConfig& cfg, std::size_t stride) {
+  const core::Simulator sim{cfg};
+  const auto& country = sim.country();
+  Layout l{country.width_km(), country.height_km(), 6.0, {}, {}};
+  for (const auto& site : sim.deployment().sites()) l.points.push_back(site.location);
+  const auto ues = sim.population().ues();
+  for (std::size_t i = 0; i < ues.size(); i += stride) {
+    const mobility::UePlan plan = sim.traces().plan_for(ues[i]);
+    l.queries.push_back(plan.home);
+    for (int day = 0; day < cfg.days; ++day) {
+      for (const auto& event : sim.traces().generate(ues[i], plan, day)) {
+        l.queries.push_back(event.position);
       }
     }
-    // Ties allowed: the found point must match the brute-force distance.
-    EXPECT_NEAR(util::squared_distance_km2(points[got], q),
-                util::squared_distance_km2(points[want], q), 1e-9);
   }
+  return l;
+}
+
+/// study_serial's world in the repository benchmark: scale 0.02 on the
+/// 320-district bench census.
+core::StudyConfig bench_world_config() {
+  core::StudyConfig cfg;
+  cfg.scale = 0.02;
+  cfg.days = 2;
+  cfg.census.districts = 320;
+  cfg.census.total_population = 47'000'000;
+  cfg.seed = 42;
+  cfg.finalize();
+  cfg.population.count = 4'000;
+  return cfg;
+}
+
+/// A 3 km lattice on a 6 km grid (every lattice point on a cell edge or
+/// corner, some sites doubled), queried at lattice points and midpoints
+/// where two or four sites tie.
+Layout ties_layout() {
+  Layout l{60.0, 48.0, 6.0, {}, {}};
+  for (int y = 0; y <= 16; ++y) {
+    for (int x = 0; x <= 20; ++x) {
+      l.points.push_back({3.0 * x, 3.0 * y});
+      if ((x + y) % 7 == 0) l.points.push_back({3.0 * x, 3.0 * y});
+    }
+  }
+  for (int y = 0; y <= 32; ++y) {
+    for (int x = 0; x <= 40; ++x) l.queries.push_back({1.5 * x, 1.5 * y});
+  }
+  return l;
+}
+
+/// Random sites, some placed on cell edges, queried on cell edges, on cell
+/// corners and on the grid's own corners.
+Layout edges_layout() {
+  util::Rng rng{77};
+  Layout l{100.0, 70.0, 5.0, {}, {}};
+  for (int i = 0; i < 60; ++i) {
+    l.points.push_back({rng.uniform(0.0, 100.0), rng.uniform(0.0, 70.0)});
+  }
+  for (int i = 0; i < 20; ++i) {
+    l.points.push_back({5.0 * static_cast<double>(rng.below(21)), rng.uniform(0.0, 70.0)});
+    l.points.push_back({rng.uniform(0.0, 100.0), 5.0 * static_cast<double>(rng.below(15))});
+  }
+  for (int y = 0; y <= 14; ++y) {
+    for (int x = 0; x <= 20; ++x) {
+      l.queries.push_back({5.0 * x, 5.0 * y});
+      l.queries.push_back({5.0 * x, rng.uniform(0.0, 70.0)});
+      l.queries.push_back({rng.uniform(0.0, 100.0), 5.0 * y});
+    }
+  }
+  for (const util::GeoPoint corner : {util::GeoPoint{0.0, 0.0}, util::GeoPoint{100.0, 0.0},
+                                      util::GeoPoint{0.0, 70.0}, util::GeoPoint{100.0, 70.0}}) {
+    l.queries.push_back(corner);
+  }
+  return l;
+}
+
+/// Sites inside and outside the grid (they land in its edge cells), queried
+/// from just outside to very far outside.
+Layout outside_layout() {
+  util::Rng rng{99};
+  Layout l{80.0, 60.0, 6.0, {}, {}};
+  for (int i = 0; i < 40; ++i) l.points.push_back({rng.uniform(0.0, 80.0), rng.uniform(0.0, 60.0)});
+  for (int i = 0; i < 10; ++i) {
+    l.points.push_back({rng.uniform(-30.0, 0.0), rng.uniform(-30.0, 90.0)});
+    l.points.push_back({rng.uniform(80.0, 120.0), rng.uniform(-30.0, 90.0)});
+  }
+  for (int i = 0; i < 500; ++i) {
+    const util::GeoPoint q{rng.uniform(-200.0, 280.0), rng.uniform(-200.0, 260.0)};
+    if (q.x_km < 0.0 || q.x_km > 80.0 || q.y_km < 0.0 || q.y_km > 60.0) l.queries.push_back(q);
+  }
+  l.queries.push_back({-1e6, -1e6});
+  l.queries.push_back({1e6, 30.0});
+  return l;
+}
+
+/// Fewer sites than the k the tests ask for.
+Layout few_layout() {
+  Layout l{50.0, 50.0, 5.0, {{10.0, 10.0}, {40.0, 35.0}}, {}};
+  util::Rng rng{5};
+  for (int i = 0; i < 100; ++i) l.queries.push_back(uniform_point(rng, -10.0, 60.0, -10.0, 60.0));
+  return l;
+}
+
+Layout empty_layout() {
+  Layout l{100.0, 100.0, 5.0, {}, {}};
+  l.queries = {{50.0, 50.0}, {0.0, 0.0}, {-5.0, 120.0}};
+  return l;
+}
+
+/// A named SpatialIndexProperty input. Seeds print as their number, so the
+/// uniform cases keep their historical test names.
+struct LayoutName {
+  std::string name;
+};
+void PrintTo(const LayoutName& n, std::ostream* os) { *os << n.name; }
+
+const Layout& layout(const std::string& name) {
+  static std::map<std::string, Layout> cache;
+  if (const auto it = cache.find(name); it != cache.end()) return it->second;
+  Layout l;
+  if (name == "clustered") l = clustered_layout();
+  else if (name == "test_scale_traces") l = deployment_layout(core::StudyConfig::test_scale(), 8);
+  else if (name == "bench_world_traces") l = deployment_layout(bench_world_config(), 16);
+  else if (name == "ties") l = ties_layout();
+  else if (name == "edges_and_corners") l = edges_layout();
+  else if (name == "outside_grid") l = outside_layout();
+  else if (name == "fewer_than_k") l = few_layout();
+  else if (name == "empty") l = empty_layout();
+  else l = uniform_layout(std::stoull(name));
+  return cache.emplace(name, std::move(l)).first->second;
+}
+
+class SpatialIndexProperty : public ::testing::TestWithParam<LayoutName> {};
+
+TEST_P(SpatialIndexProperty, NearestMatchesBruteForce) {
+  const Layout& l = layout(GetParam().name);
+  const SpatialIndex idx = build_index(l);
+  std::size_t misses = 0;
+  for (const auto& q : l.queries) {
+    const auto want = brute_force(l.points, q, 1);
+    const std::uint32_t got = idx.nearest(q);
+    if (got != (want.empty() ? SpatialIndex::kNotFound : want.front())) {
+      if (misses++ == 0) ADD_FAILURE() << "first miss at (" << q.x_km << ", " << q.y_km << ")";
+    }
+  }
+  EXPECT_EQ(misses, 0u) << "of " << l.queries.size() << " queries";
 }
 
 TEST_P(SpatialIndexProperty, NearestKIsSortedAndComplete) {
-  util::Rng rng{GetParam() ^ 0xabcd};
-  SpatialIndex idx{100.0, 100.0, 4.0};
-  for (std::uint32_t i = 0; i < 300; ++i) {
-    idx.insert({rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0)}, i);
+  const Layout& l = layout(GetParam().name);
+  const SpatialIndex idx = build_index(l);
+  std::size_t misses = 0;
+  const auto check = [&](const util::GeoPoint& q, std::size_t k,
+                         const std::vector<std::uint32_t>& want) {
+    if (idx.nearest_k(q, k) != want && misses++ == 0) {
+      ADD_FAILURE() << "first miss at (" << q.x_km << ", " << q.y_km << "), k=" << k;
+    }
+  };
+  for (std::size_t i = 0; i < l.queries.size(); ++i) {
+    const util::GeoPoint& q = l.queries[i];
+    const auto want = brute_force(l.points, q, 5);
+    for (std::size_t k = 1; k <= 5; ++k) {
+      check(q, k, {want.begin(), want.begin() + static_cast<std::ptrdiff_t>(
+                                                     std::min(k, want.size()))});
+    }
+    // More than the index holds: every item, in order (on a sample of the
+    // queries, since the oracle sorts them all).
+    if (i % 16 == 0) {
+      check(q, l.points.size() + 1, brute_force(l.points, q, l.points.size()));
+    }
   }
-  const util::GeoPoint q{50, 50};
-  const auto k5 = idx.nearest_k(q, 5);
-  ASSERT_EQ(k5.size(), 5u);
-  EXPECT_EQ(k5.front(), idx.nearest(q));
+  EXPECT_EQ(misses, 0u) << "of " << l.queries.size() << " queries";
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, SpatialIndexProperty, ::testing::Values(1u, 7u, 1234u));
+INSTANTIATE_TEST_SUITE_P(Seeds, SpatialIndexProperty,
+                         ::testing::Values(LayoutName{"1"}, LayoutName{"7"}, LayoutName{"1234"}));
+INSTANTIATE_TEST_SUITE_P(Layouts, SpatialIndexProperty,
+                         ::testing::Values(LayoutName{"clustered"},
+                                           LayoutName{"test_scale_traces"},
+                                           LayoutName{"bench_world_traces"}, LayoutName{"ties"},
+                                           LayoutName{"edges_and_corners"},
+                                           LayoutName{"outside_grid"},
+                                           LayoutName{"fewer_than_k"}, LayoutName{"empty"}));
 
 }  // namespace
 }  // namespace tl::geo

@@ -37,12 +37,21 @@ using telemetry::RecordLog;
 
 namespace fs = std::filesystem;
 
-// The pre-PR pipeline's serial output at StudyConfig::test_scale() with a
-// durable log attached, captured before the decision point moved behind
-// HandoverPolicy. The baseline policy must reproduce these bytes forever.
-constexpr std::uint64_t kGoldenRecords = 180'927;
-constexpr std::uint32_t kGoldenStreamCrc = 0xd7c405c3;
-constexpr std::uint32_t kGoldenWalCrc = 0x88a5c3d8;
+// The serial output at StudyConfig::test_scale() with a durable log
+// attached. The baseline policy must reproduce these bytes until the model
+// itself is deliberately changed.
+//
+// Re-pinned once when the site lookup became exact. The old ring search
+// stopped one ring after its k-th hit, which can miss a closer site in a
+// cell further out, so some HO opportunities were joined to a farther
+// site's postcode and some UEs were served by the wrong sector. The exact
+// search changed 118 of the 6,000 test-scale UE-days (2.0%). Once a UE-day
+// diverges its RNG stream shifts, so 6,312 of its 180,878 records (3.5%)
+// are no longer byte-identical. Before: 180,927 records, stream CRC
+// 0xd7c405c3, WAL CRC 0x88a5c3d8.
+constexpr std::uint64_t kGoldenRecords = 180'878;
+constexpr std::uint32_t kGoldenStreamCrc = 0x81409458;
+constexpr std::uint32_t kGoldenWalCrc = 0xfb4925fe;
 
 /// CRC32C over the wire encoding of every record the simulator emits.
 class ChecksumSink final : public telemetry::RecordSink {
