@@ -6,6 +6,7 @@
 #include <limits>
 #include <span>
 #include <stdexcept>
+#include <utility>
 
 namespace tl::geo {
 
@@ -60,14 +61,33 @@ class SpatialIndex::TopK {
   std::size_t n_ = 0;
 };
 
-SpatialIndex::SpatialIndex(double width_km, double height_km, double cell_km)
-    : width_km_(width_km), height_km_(height_km), cell_km_(cell_km) {
+SpatialIndex::SpatialIndex(double width_km, double height_km, double cell_km,
+                           std::span<const GeoPoint> points)
+    : cell_km_(cell_km) {
   if (width_km <= 0 || height_km <= 0 || cell_km <= 0) {
     throw std::invalid_argument{"SpatialIndex: non-positive dimension"};
   }
+  if (points.size() >= kNotFound) throw std::length_error{"SpatialIndex: too many points"};
   nx_ = std::max(1, static_cast<int>(std::ceil(width_km / cell_km)));
   ny_ = std::max(1, static_cast<int>(std::ceil(height_km / cell_km)));
-  cells_.resize(static_cast<std::size_t>(nx_) * static_cast<std::size_t>(ny_));
+
+  // Counting sort into cells; within a cell, entries keep item order.
+  const std::size_t cells = static_cast<std::size_t>(nx_) * static_cast<std::size_t>(ny_);
+  std::vector<std::uint32_t> cell_of(points.size());
+  cell_start_.assign(cells + 1, 0);
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    cell_of[i] = static_cast<std::uint32_t>(
+        static_cast<std::size_t>(row_of(points[i].y_km)) * static_cast<std::size_t>(nx_) +
+        static_cast<std::size_t>(column_of(points[i].x_km)));
+    ++cell_start_[cell_of[i] + 1];
+  }
+  for (std::size_t c = 0; c < cells; ++c) cell_start_[c + 1] += cell_start_[c];
+  std::vector<std::uint32_t> next(cell_start_.begin(), cell_start_.end() - 1);
+  entries_.resize(points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    entries_[next[cell_of[i]]++] = {points[i], static_cast<std::uint32_t>(i)};
+  }
+  if (!entries_.empty()) build_candidates();
 }
 
 int SpatialIndex::column_of(double x_km) const noexcept {
@@ -80,17 +100,17 @@ int SpatialIndex::row_of(double y_km) const noexcept {
       std::clamp(std::floor(y_km / cell_km_), 0.0, static_cast<double>(ny_ - 1)));
 }
 
-void SpatialIndex::insert(const GeoPoint& p, std::uint32_t item) {
-  cells_[static_cast<std::size_t>(row_of(p.y_km)) * static_cast<std::size_t>(nx_) +
-         static_cast<std::size_t>(column_of(p.x_km))]
-      .push_back({p, item});
-  ++count_;
+std::pair<std::uint32_t, std::uint32_t> SpatialIndex::row_entries(int y, int x0,
+                                                                  int x1) const noexcept {
+  const std::size_t row = static_cast<std::size_t>(y) * static_cast<std::size_t>(nx_);
+  return {cell_start_[row + static_cast<std::size_t>(x0)],
+          cell_start_[row + static_cast<std::size_t>(x1) + 1]};
 }
 
-void SpatialIndex::offer_cell(int x, int y, const GeoPoint& p, TopK& top) const {
-  for (const Entry& e : cells_[static_cast<std::size_t>(y) * static_cast<std::size_t>(nx_) +
-                               static_cast<std::size_t>(x)]) {
-    top.offer(tl::util::squared_distance_km2(e.point, p), e.item);
+void SpatialIndex::offer_row(int y, int x0, int x1, const GeoPoint& p, TopK& top) const {
+  const auto [begin, end] = row_entries(y, x0, x1);
+  for (std::uint32_t i = begin; i < end; ++i) {
+    top.offer(tl::util::squared_distance_km2(entries_[i].point, p), entries_[i].item);
   }
 }
 
@@ -102,14 +122,11 @@ void SpatialIndex::search_rings(const GeoPoint& p, TopK& top) const {
     // the columns cx -/+ ring between them, clipped to the grid.
     const int x0 = std::max(cx - ring, 0);
     const int x1 = std::min(cx + ring, nx_ - 1);
-    const auto offer_row = [&](int y) {
-      for (int x = x0; x <= x1; ++x) offer_cell(x, y, p, top);
-    };
-    if (cy - ring >= 0) offer_row(cy - ring);
-    if (ring > 0 && cy + ring < ny_) offer_row(cy + ring);
+    if (cy - ring >= 0) offer_row(cy - ring, x0, x1, p, top);
+    if (ring > 0 && cy + ring < ny_) offer_row(cy + ring, x0, x1, p, top);
     for (int y = std::max(cy - ring + 1, 0); y <= std::min(cy + ring - 1, ny_ - 1); ++y) {
-      if (cx - ring >= 0) offer_cell(cx - ring, y, p, top);
-      if (ring > 0 && cx + ring < nx_) offer_cell(cx + ring, y, p, top);
+      if (cx - ring >= 0) offer_row(y, cx - ring, cx - ring, p, top);
+      if (ring > 0 && cx + ring < nx_) offer_row(y, cx + ring, cx + ring, p, top);
     }
 
     // Every unsearched cell lies beyond one side of the searched block that
@@ -128,41 +145,96 @@ void SpatialIndex::search_rings(const GeoPoint& p, TopK& top) const {
   }
 }
 
+void SpatialIndex::build_candidates() {
+  // The distance d(q) from a position q to its kTableK-th nearest entry is
+  // 1-Lipschitz, so for every q in a cell d(q) <= d(centre) + half_diagonal.
+  // Any entry among q's kTableK nearest is within d(q) of q, hence within
+  // that reach of the cell's rectangle. With no more than kTableK entries,
+  // every cell lists them all.
+  const double half_diagonal = cell_km_ * std::sqrt(0.5);
+  std::array<TopK::Slot, kTableK> slots;
+  candidate_start_.reserve(cell_start_.size());
+  candidate_start_.push_back(0);
+  for (int y = 0; y < ny_; ++y) {
+    for (int x = 0; x < nx_; ++x) {
+      const double x_lo = x * cell_km_;
+      const double y_lo = y * cell_km_;
+      const double x_hi = x_lo + cell_km_;
+      const double y_hi = y_lo + cell_km_;
+      double reach = std::numeric_limits<double>::infinity();
+      if (size() > kTableK) {
+        TopK top{slots};
+        search_rings({x_lo + 0.5 * cell_km_, y_lo + 0.5 * cell_km_}, top);
+        reach = std::sqrt(top.worst_d2()) + half_diagonal + kSlackKm;
+      }
+      const int row_hi = row_of(y_hi + reach);
+      const int col_lo = column_of(x_lo - reach);
+      const int col_hi = column_of(x_hi + reach);
+      for (int row = row_of(y_lo - reach); row <= row_hi; ++row) {
+        const auto [begin, end] = row_entries(row, col_lo, col_hi);
+        for (std::uint32_t i = begin; i < end; ++i) {
+          const GeoPoint& e = entries_[i].point;
+          const double dx = std::max({x_lo - e.x_km, 0.0, e.x_km - x_hi});
+          const double dy = std::max({y_lo - e.y_km, 0.0, e.y_km - y_hi});
+          if (dx * dx + dy * dy <= reach * reach) candidates_.push_back(i);
+        }
+      }
+      candidate_start_.push_back(static_cast<std::uint32_t>(candidates_.size()));
+    }
+  }
+}
+
 std::vector<std::uint32_t> SpatialIndex::query_radius(const GeoPoint& p,
                                                       double radius_km) const {
   std::vector<std::uint32_t> out;
   const double r2 = radius_km * radius_km;
   const double reach = radius_km + kSlackKm;
-  const int x0 = column_of(p.x_km - reach);
-  const int x1 = column_of(p.x_km + reach);
-  const int y0 = row_of(p.y_km - reach);
-  const int y1 = row_of(p.y_km + reach);
-  for (int y = y0; y <= y1; ++y) {
-    for (int x = x0; x <= x1; ++x) {
-      for (const Entry& e : cells_[static_cast<std::size_t>(y) * static_cast<std::size_t>(nx_) +
-                                   static_cast<std::size_t>(x)]) {
-        if (tl::util::squared_distance_km2(e.point, p) <= r2) out.push_back(e.item);
+  const int col_lo = column_of(p.x_km - reach);
+  const int col_hi = column_of(p.x_km + reach);
+  const int row_hi = row_of(p.y_km + reach);
+  for (int row = row_of(p.y_km - reach); row <= row_hi; ++row) {
+    const auto [begin, end] = row_entries(row, col_lo, col_hi);
+    for (std::uint32_t i = begin; i < end; ++i) {
+      if (tl::util::squared_distance_km2(entries_[i].point, p) <= r2) {
+        out.push_back(entries_[i].item);
       }
     }
   }
   return out;
 }
 
-std::uint32_t SpatialIndex::nearest(const GeoPoint& p) const {
-  const auto result = nearest_k(p, 1);
-  return result.empty() ? kNotFound : result.front();
-}
-
-std::vector<std::uint32_t> SpatialIndex::nearest_k(const GeoPoint& p, std::size_t k) const {
-  k = std::min(k, count_);
-  if (k == 0) return {};
+std::size_t SpatialIndex::nearest_k(const GeoPoint& p, std::span<std::uint32_t> out) const {
+  const std::size_t k = std::min(out.size(), size());
+  if (k == 0) return 0;
   std::array<TopK::Slot, kInlineK> inline_slots;
   std::vector<TopK::Slot> heap_slots(k > kInlineK ? k : 0);
   TopK top{k > kInlineK ? std::span<TopK::Slot>{heap_slots}
                         : std::span<TopK::Slot>{inline_slots}.first(k)};
-  search_rings(p, top);
-  std::vector<std::uint32_t> out(top.size());
-  for (std::size_t i = 0; i < out.size(); ++i) out[i] = top.item(i);
+  const double fx = std::floor(p.x_km / cell_km_);
+  const double fy = std::floor(p.y_km / cell_km_);
+  if (k <= kTableK && fx >= 0.0 && fx < nx_ && fy >= 0.0 && fy < ny_) {
+    const std::size_t c = static_cast<std::size_t>(fy) * static_cast<std::size_t>(nx_) +
+                          static_cast<std::size_t>(fx);
+    for (std::uint32_t i = candidate_start_[c]; i < candidate_start_[c + 1]; ++i) {
+      const Entry& e = entries_[candidates_[i]];
+      top.offer(tl::util::squared_distance_km2(e.point, p), e.item);
+    }
+  } else {
+    search_rings(p, top);
+  }
+  for (std::size_t i = 0; i < top.size(); ++i) out[i] = top.item(i);
+  return top.size();
+}
+
+std::uint32_t SpatialIndex::nearest(const GeoPoint& p) const {
+  std::uint32_t item = kNotFound;
+  nearest_k(p, std::span<std::uint32_t>{&item, 1});
+  return item;
+}
+
+std::vector<std::uint32_t> SpatialIndex::nearest_k(const GeoPoint& p, std::size_t k) const {
+  std::vector<std::uint32_t> out(std::min(k, size()));
+  out.resize(nearest_k(p, std::span<std::uint32_t>{out}));
   return out;
 }
 

@@ -1,5 +1,8 @@
 #include "ran/sector_locator.hpp"
 
+#include <array>
+#include <span>
+
 namespace tl::ran {
 
 topology::SectorId SectorLocator::locate(const util::GeoPoint& position,
@@ -7,8 +10,9 @@ topology::SectorId SectorLocator::locate(const util::GeoPoint& position,
                                          const devices::Ue& ue, int day, int bin,
                                          util::Rng& rng) const {
   // Try the nearest few sites; a site may lack the requested layer.
-  const auto near = deployment_.site_index().nearest_k(position, 3);
-  for (const topology::SiteId site : near) {
+  std::array<topology::SiteId, 3> near;
+  const std::size_t n_near = deployment_.site_index().nearest_k(position, near);
+  for (const topology::SiteId site : std::span{near}.first(n_near)) {
     const auto sector = selector_.pick_sector(site, rat_class, ue, rng);
     if (!sector) continue;
     const auto& s = deployment_.sector(*sector);

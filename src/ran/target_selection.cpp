@@ -1,11 +1,17 @@
 #include "ran/target_selection.hpp"
 
-#include <vector>
-
 namespace tl::ran {
 
 using topology::ObservedRat;
 using topology::Rat;
+
+namespace {
+
+/// How pick_sector sees a site's sector: not a candidate, an NR sector the
+/// UE can use, or a non-NR sector of the requested class.
+enum class Kind { kNone, kNr, kOther };
+
+}  // namespace
 
 TargetDecision TargetSelector::decide(const devices::Ue& ue, geo::PostcodeId pc,
                                       bool voice_active, util::Rng& rng) const {
@@ -39,24 +45,39 @@ std::optional<topology::SectorId> TargetSelector::pick_sector(topology::SiteId s
                                                               const devices::Ue& ue,
                                                               util::Rng& rng) const {
   const auto& site = deployment_.site(site_id);
-  std::vector<topology::SectorId> candidates;
-  std::vector<topology::SectorId> nr_candidates;
-  for (const topology::SectorId sid : site.sectors) {
+  // Two passes over the site's few sectors instead of two candidate lists:
+  // count the NR and other sectors of the class, draw, then walk to the
+  // drawn one. The draws are the ones the lists took.
+  const bool nr_capable = topology::supports(ue.rat_support, Rat::kG5Nr);
+  const auto kind_of = [&](topology::SectorId sid) {
     const auto& sector = deployment_.sector(sid);
-    if (topology::observe(sector.rat) != rat_class) continue;
-    if (sector.rat == Rat::kG5Nr) {
-      if (topology::supports(ue.rat_support, Rat::kG5Nr)) nr_candidates.push_back(sid);
-      continue;
-    }
-    candidates.push_back(sid);
+    if (topology::observe(sector.rat) != rat_class) return Kind::kNone;
+    if (sector.rat != Rat::kG5Nr) return Kind::kOther;
+    return nr_capable ? Kind::kNr : Kind::kNone;
+  };
+  std::uint64_t n_nr = 0;
+  std::uint64_t n_other = 0;
+  for (const topology::SectorId sid : site.sectors) {
+    const Kind kind = kind_of(sid);
+    n_nr += kind == Kind::kNr ? 1 : 0;
+    n_other += kind == Kind::kOther ? 1 : 0;
   }
   // EN-DC: a 5G-capable UE on a site with an NR layer anchors there.
-  if (!nr_candidates.empty() && rng.chance(0.8)) {
-    return nr_candidates[rng.below(nr_candidates.size())];
+  Kind pick_kind = Kind::kNone;
+  if (n_nr > 0 && rng.chance(0.8)) {
+    pick_kind = Kind::kNr;
+  } else if (n_other > 0) {
+    pick_kind = Kind::kOther;
+  } else if (n_nr > 0) {
+    pick_kind = Kind::kNr;
+  } else {
+    return std::nullopt;
   }
-  if (!candidates.empty()) return candidates[rng.below(candidates.size())];
-  if (!nr_candidates.empty()) return nr_candidates[rng.below(nr_candidates.size())];
-  return std::nullopt;
+  std::uint64_t pick = rng.below(pick_kind == Kind::kNr ? n_nr : n_other);
+  for (const topology::SectorId sid : site.sectors) {
+    if (kind_of(sid) == pick_kind && pick-- == 0) return sid;
+  }
+  return std::nullopt;  // unreachable: the pick indexes a counted sector
 }
 
 }  // namespace tl::ran

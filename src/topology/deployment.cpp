@@ -224,9 +224,12 @@ Deployment Deployment::build(const geo::Country& country, const DeploymentConfig
     if (sector.area_type == geo::AreaType::kUrban) ++dep.urban_sectors_;
     dep.sectors_by_postcode_[sector.postcode].push_back(sector.id);
   }
-  for (const auto& site : dep.sites_) {
-    dep.site_index_.insert(site.location, site.id);
-  }
+  // Built once, before any worker can query it: the index is immutable.
+  std::vector<tl::util::GeoPoint> locations;
+  locations.reserve(dep.sites_.size());
+  for (const auto& site : dep.sites_) locations.push_back(site.location);  // item = site id
+  dep.site_index_ =
+      geo::SpatialIndex{country.width_km(), country.height_km(), kSiteCellKm, locations};
   return dep;
 }
 

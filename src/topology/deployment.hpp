@@ -72,8 +72,11 @@ class Deployment {
   std::vector<YearCounts> evolution(int from_year = 2009, int to_year = 2023) const;
 
  private:
+  /// Edge of the site index's grid cells.
+  static constexpr double kSiteCellKm = 6.0;
+
   Deployment(double width_km, double height_km)
-      : site_index_(width_km, height_km, 6.0) {}
+      : site_index_(width_km, height_km, kSiteCellKm) {}
 
   std::vector<CellSite> sites_;
   std::vector<RadioSector> sectors_;

@@ -7,6 +7,7 @@
 #include <limits>
 #include <map>
 #include <ostream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -138,10 +139,8 @@ TEST(SpatialIndex, NearestOnEmptyIndex) {
 }
 
 TEST(SpatialIndex, QueryRadiusIsExact) {
-  SpatialIndex idx{100.0, 100.0, 5.0};
-  idx.insert({10, 10}, 1);
-  idx.insert({12, 10}, 2);
-  idx.insert({40, 40}, 3);
+  const std::vector<util::GeoPoint> points{{10, 10}, {12, 10}, {40, 40}};
+  const SpatialIndex idx{100.0, 100.0, 5.0, points};
   const auto near = idx.query_radius({10, 10}, 3.0);
   EXPECT_EQ(near.size(), 2u);
   const auto all = idx.query_radius({25, 25}, 100.0);
@@ -159,9 +158,7 @@ struct Layout {
 };
 
 SpatialIndex build_index(const Layout& l) {
-  SpatialIndex idx{l.width_km, l.height_km, l.cell_km};
-  for (std::uint32_t i = 0; i < l.points.size(); ++i) idx.insert(l.points[i], i);
-  return idx;
+  return SpatialIndex{l.width_km, l.height_km, l.cell_km, l.points};
 }
 
 /// The oracle: the first `k` items by (squared distance, item).
@@ -367,9 +364,14 @@ TEST_P(SpatialIndexProperty, NearestKIsSortedAndComplete) {
   const Layout& l = layout(GetParam().name);
   const SpatialIndex idx = build_index(l);
   std::size_t misses = 0;
+  std::vector<std::uint32_t> buffer;
   const auto check = [&](const util::GeoPoint& q, std::size_t k,
                          const std::vector<std::uint32_t>& want) {
-    if (idx.nearest_k(q, k) != want && misses++ == 0) {
+    // Both overloads: the vector one, and the span one into a buffer with
+    // room for exactly k.
+    buffer.assign(k, SpatialIndex::kNotFound);
+    buffer.resize(idx.nearest_k(q, std::span<std::uint32_t>{buffer}));
+    if ((idx.nearest_k(q, k) != want || buffer != want) && misses++ == 0) {
       ADD_FAILURE() << "first miss at (" << q.x_km << ", " << q.y_km << "), k=" << k;
     }
   };
