@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <tuple>
 
 namespace tl::telemetry {
 
@@ -330,6 +331,23 @@ std::uint64_t IncidentWindowAggregator::targeting(topology::SectorId sector,
                                                   Phase phase) const {
   return by_target_.at(static_cast<std::size_t>(sector) * 3 +
                        static_cast<std::size_t>(phase));
+}
+
+void UeDayStore::consume(const UeDayMetrics& metrics) {
+  const auto before = [](const UeDayMetrics& a, const UeDayMetrics& b) {
+    return std::tie(a.day, a.ue) < std::tie(b.day, b.ue);
+  };
+  // A day emits its UEs in order, so a new row almost always goes last.
+  if (rows_.empty() || before(rows_.back(), metrics)) {
+    rows_.push_back(metrics);
+    return;
+  }
+  const auto it = std::lower_bound(rows_.begin(), rows_.end(), metrics, before);
+  if (it != rows_.end() && !before(metrics, *it)) {
+    *it = metrics;
+  } else {
+    rows_.insert(it, metrics);
+  }
 }
 
 }  // namespace tl::telemetry

@@ -270,10 +270,13 @@ class IncidentWindowAggregator : public RecordSink {
   std::vector<std::uint64_t> by_target_;  // [sector * 3 + phase]
 };
 
-/// Figs. 10, 13: retains every UE-day metrics row.
+/// Figs. 10, 13: retains one metrics row per (UE, day), in (day, UE) order —
+/// the emission order whenever days run in order. A re-emitted UE-day (a
+/// day retried after a failed attempt, or a study that runs a day again)
+/// replaces its row, so the store holds no more rows than distinct UE-days.
 class UeDayStore : public MetricsSink {
  public:
-  void consume(const UeDayMetrics& metrics) override { rows_.push_back(metrics); }
+  void consume(const UeDayMetrics& metrics) override;
   const std::vector<UeDayMetrics>& rows() const noexcept { return rows_; }
 
  private:

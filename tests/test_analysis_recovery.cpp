@@ -104,10 +104,14 @@ TEST(Recovery, FiltersBehave) {
   const auto& ds = modeling_dataset();
   EXPECT_GT(ds.size(), 100u);
   EXPECT_LT(ds.nonzero().size(), ds.size());
-  for (const auto& row : ds.without_2g().rows()) {
+  // rows() is a span into the dataset: keep each filtered dataset alive
+  // for its loop.
+  const auto no_2g = ds.without_2g();
+  for (const auto& row : no_2g.rows()) {
     EXPECT_NE(row.target, topology::ObservedRat::kG2);
   }
-  for (const auto& row : ds.filtered(50.0, 10, 1000).rows()) {
+  const auto bounded = ds.filtered(50.0, 10, 1000);
+  for (const auto& row : bounded.rows()) {
     EXPECT_GT(row.hof_rate_pct, 0.0);
     EXPECT_LT(row.hof_rate_pct, 50.0);
     EXPECT_GE(row.daily_hos, 10u);

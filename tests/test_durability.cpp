@@ -19,6 +19,7 @@
 #include "core/simulator.hpp"
 #include "io/faulty_file.hpp"
 #include "io/file.hpp"
+#include "telemetry/aggregates.hpp"
 #include "telemetry/record_log.hpp"
 #include "telemetry/signaling_dataset.hpp"
 #include "telemetry/sinks.hpp"
@@ -930,6 +931,39 @@ TEST(SimulatorDurability, SinkThrowMidDayRollsBackAndReplaysExactlyOnce) {
   EXPECT_EQ(sim.next_day(), cfg.days);
   expect_identical({replay.records().begin(), replay.records().end()},
                    {clean.records().begin(), clean.records().end()});
+}
+
+TEST(SimulatorDurability, RetriedDayKeepsOneMetricsRowPerUeDay) {
+  const StudyConfig cfg = chaos_config();
+
+  telemetry::UeDayStore clean;
+  Simulator reference{cfg};
+  reference.add_metrics_sink(&clean);
+  reference.run();
+
+  // The first attempt at day 0 dies mid-day after some UE-days' metrics
+  // already reached the store; the retry emits them again.
+  Simulator sim{cfg};
+  telemetry::UeDayStore store;
+  sim.add_metrics_sink(&store);
+  ExplodingSink bomb{500};
+  sim.add_sink(&bomb);
+  EXPECT_THROW(sim.run_day(0), std::runtime_error);
+  ASSERT_FALSE(store.rows().empty());
+  sim.remove_sink(&bomb);
+  sim.run();
+
+  ASSERT_EQ(store.rows().size(), clean.rows().size());
+  for (std::size_t i = 0; i < clean.rows().size(); ++i) {
+    const auto& got = store.rows()[i];
+    const auto& want = clean.rows()[i];
+    EXPECT_EQ(got.ue, want.ue) << i;
+    EXPECT_EQ(got.day, want.day) << i;
+    EXPECT_EQ(got.handovers, want.handovers) << i;
+    EXPECT_EQ(got.failures, want.failures) << i;
+    EXPECT_EQ(got.distinct_sectors, want.distinct_sectors) << i;
+    EXPECT_EQ(got.radius_of_gyration_km, want.radius_of_gyration_km) << i;
+  }
 }
 
 TEST(SimulatorDurability, SinkThrowMidDayNeverCommitsAPartialDayToTheLog) {

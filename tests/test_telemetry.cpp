@@ -196,5 +196,28 @@ TEST(UeDayStore, RetainsRowsAndComputesRates) {
   EXPECT_EQ(idle.hof_rate(), 0.0);
 }
 
+TEST(UeDayStore, ReEmittedUeDayReplacesItsRowAndOrderIsDayThenUe) {
+  UeDayStore store;
+  const auto row = [](devices::UeId ue, int day, std::uint32_t handovers) {
+    UeDayMetrics m;
+    m.ue = ue;
+    m.day = day;
+    m.handovers = handovers;
+    return m;
+  };
+  store.consume(row(0, 1, 1));
+  store.consume(row(2, 1, 1));
+  store.consume(row(1, 0, 1));  // an earlier day, run late
+  store.consume(row(2, 1, 7));  // re-emitted: replaces
+  store.consume(row(1, 1, 1));
+  ASSERT_EQ(store.rows().size(), 4u);
+  const std::vector<std::pair<int, devices::UeId>> want{{0, 1}, {1, 0}, {1, 1}, {1, 2}};
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(store.rows()[i].day, want[i].first);
+    EXPECT_EQ(store.rows()[i].ue, want[i].second);
+  }
+  EXPECT_EQ(store.rows()[3].handovers, 7u);
+}
+
 }  // namespace
 }  // namespace tl::telemetry

@@ -1,4 +1,4 @@
-// Deployment builder, energy saving, and neighbor relations.
+// Deployment builder and energy saving.
 
 #include <gtest/gtest.h>
 
@@ -7,7 +7,6 @@
 #include "geo/census.hpp"
 #include "topology/deployment.hpp"
 #include "topology/energy_saving.hpp"
-#include "topology/neighbor_map.hpp"
 
 namespace tl::topology {
 namespace {
@@ -185,16 +184,6 @@ TEST(EnergySaving, SleepFractionRanksBoosters) {
   ASSERT_GT(boosters, 50);
   EXPECT_LT(active_night, active_noon);
   EXPECT_NEAR(static_cast<double>(active_noon) / boosters, 0.97, 0.03);
-}
-
-TEST(NeighborMap, ListsExcludeSelfAndAreBounded) {
-  const NeighborMap nm{world().deployment, 6};
-  for (const auto& site : world().deployment.sites()) {
-    const auto neighbors = nm.neighbors_of(site.id);
-    EXPECT_LE(neighbors.size(), 6u);
-    for (const SiteId n : neighbors) EXPECT_NE(n, site.id);
-  }
-  EXPECT_GT(nm.average_degree(), 4.0);
 }
 
 }  // namespace
