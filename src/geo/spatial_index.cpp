@@ -50,6 +50,7 @@ class SpatialIndex::TopK {
     slots_[i] = s;
   }
 
+  void clear() noexcept { n_ = 0; }
   bool full() const noexcept { return n_ == slots_.size(); }
   /// The k-th best squared distance (only meaningful when full()).
   double worst_d2() const noexcept { return slots_[n_ - 1].d2; }
@@ -118,6 +119,16 @@ void SpatialIndex::search_rings(const GeoPoint& p, TopK& top) const {
   const int cx = column_of(p.x_km);
   const int cy = row_of(p.y_km);
   for (int ring = 0;; ++ring) {
+    // Once the block would span more cells than the index holds entries,
+    // scanning every entry is cheaper, and just as exact.
+    const auto side = static_cast<std::size_t>(2 * ring + 1);
+    if (side * side > size()) {
+      top.clear();
+      for (const Entry& e : entries_) {
+        top.offer(tl::util::squared_distance_km2(e.point, p), e.item);
+      }
+      return;
+    }
     // Ring `ring`: the rows cy -/+ ring across [cx - ring, cx + ring], then
     // the columns cx -/+ ring between them, clipped to the grid.
     const int x0 = std::max(cx - ring, 0);
