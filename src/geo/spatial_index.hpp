@@ -5,10 +5,10 @@
 // The trace generator issues millions of "which sites are near this UE"
 // queries. The index is immutable: it is built once from every point, with
 // the points bucketed by grid cell and, per cell, the short list of points
-// that can be among the kTableK nearest of any position in that cell. A
-// query for up to kTableK nearest inside the grid scans one list; any other
+// that can be among the 3 (kTableK) nearest of any position in that cell. A
+// query for up to 3 nearest inside the grid scans one list; any other
 // query walks square rings of cells until no unsearched cell can hold a
-// closer point. Both are exact and allocate nothing.
+// closer point. Both are exact, and neither allocates for k up to 8.
 
 #include <cstdint>
 #include <span>
@@ -47,10 +47,11 @@ class SpatialIndex {
   std::size_t size() const noexcept { return entries_.size(); }
 
   static constexpr std::uint32_t kNotFound = 0xffffffffu;
+
+ private:
   /// The largest k the per-cell candidate lists answer.
   static constexpr std::size_t kTableK = 3;
 
- private:
   struct Entry {
     tl::util::GeoPoint point;
     std::uint32_t item;
