@@ -176,8 +176,7 @@ std::vector<std::uint32_t> brute_force(const std::vector<util::GeoPoint>& points
 }
 
 util::GeoPoint uniform_point(util::Rng& rng, double x0, double x1, double y0, double y1) {
-  const double x = rng.uniform(x0, x1);
-  return {x, rng.uniform(y0, y1)};
+  return {rng.uniform(x0, x1), rng.uniform(y0, y1)};
 }
 
 Layout uniform_layout(std::uint64_t seed) {
@@ -195,7 +194,7 @@ Layout clustered_layout() {
   util::Rng rng{2024};
   Layout l{600.0, 480.0, 6.0, {}, {}};
   std::vector<util::GeoPoint> cores;
-  for (int c = 0; c < 8; ++c) cores.push_back({rng.uniform(50.0, 550.0), rng.uniform(50.0, 430.0)});
+  for (int c = 0; c < 8; ++c) cores.push_back(uniform_point(rng, 50.0, 550.0, 50.0, 430.0));
   for (const auto& core : cores) {
     for (int i = 0; i < 40; ++i) {
       l.points.push_back({core.x_km + rng.normal(0.0, 1.5), core.y_km + rng.normal(0.0, 1.5)});
@@ -267,9 +266,7 @@ Layout ties_layout() {
 Layout edges_layout() {
   util::Rng rng{77};
   Layout l{100.0, 70.0, 5.0, {}, {}};
-  for (int i = 0; i < 60; ++i) {
-    l.points.push_back({rng.uniform(0.0, 100.0), rng.uniform(0.0, 70.0)});
-  }
+  for (int i = 0; i < 60; ++i) l.points.push_back(uniform_point(rng, 0.0, 100.0, 0.0, 70.0));
   for (int i = 0; i < 20; ++i) {
     l.points.push_back({5.0 * static_cast<double>(rng.below(21)), rng.uniform(0.0, 70.0)});
     l.points.push_back({rng.uniform(0.0, 100.0), 5.0 * static_cast<double>(rng.below(15))});
@@ -293,13 +290,13 @@ Layout edges_layout() {
 Layout outside_layout() {
   util::Rng rng{99};
   Layout l{80.0, 60.0, 6.0, {}, {}};
-  for (int i = 0; i < 40; ++i) l.points.push_back({rng.uniform(0.0, 80.0), rng.uniform(0.0, 60.0)});
+  for (int i = 0; i < 40; ++i) l.points.push_back(uniform_point(rng, 0.0, 80.0, 0.0, 60.0));
   for (int i = 0; i < 10; ++i) {
-    l.points.push_back({rng.uniform(-30.0, 0.0), rng.uniform(-30.0, 90.0)});
-    l.points.push_back({rng.uniform(80.0, 120.0), rng.uniform(-30.0, 90.0)});
+    l.points.push_back(uniform_point(rng, -30.0, 0.0, -30.0, 90.0));
+    l.points.push_back(uniform_point(rng, 80.0, 120.0, -30.0, 90.0));
   }
   for (int i = 0; i < 500; ++i) {
-    const util::GeoPoint q{rng.uniform(-200.0, 280.0), rng.uniform(-200.0, 260.0)};
+    const util::GeoPoint q = uniform_point(rng, -200.0, 280.0, -200.0, 260.0);
     if (q.x_km < 0.0 || q.x_km > 80.0 || q.y_km < 0.0 || q.y_km > 60.0) l.queries.push_back(q);
   }
   l.queries.push_back({-1e6, -1e6});
