@@ -45,9 +45,9 @@ std::optional<topology::SectorId> TargetSelector::pick_sector(topology::SiteId s
                                                               const devices::Ue& ue,
                                                               util::Rng& rng) const {
   const auto& site = deployment_.site(site_id);
-  // Two passes over the site's few sectors instead of two candidate lists:
-  // count the NR and other sectors of the class, draw, then walk to the
-  // drawn one. The draws are the ones the lists took.
+  // Count the NR and other sectors of the class, draw, then walk to the
+  // drawn one. The draws, chance(0.8) then below(count), are part of the
+  // golden record stream: keep their order and arguments.
   const bool nr_capable = topology::supports(ue.rat_support, Rat::kG5Nr);
   const auto kind_of = [&](topology::SectorId sid) {
     const auto& sector = deployment_.sector(sid);

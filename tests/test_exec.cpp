@@ -501,9 +501,10 @@ ReuseCapture run_reuse_arm(bool reuse, unsigned threads, const std::string& dir,
   cfg.days = 3;
   cfg.population.count = 2'000;
   cfg.reuse_shard_state = reuse;
-  Simulator sim{cfg};
-
+  // Declared before the simulator so it outlives the shard buffers that
+  // book into it.
   govern::MemoryBudget budget;  // budget 0: accounting only, always Steady
+  Simulator sim{cfg};
   govern::ScopedGlobalGovernor install{&budget};
 
   RecordLog::Options opt;
