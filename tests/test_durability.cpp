@@ -19,6 +19,7 @@
 #include "core/simulator.hpp"
 #include "io/faulty_file.hpp"
 #include "io/file.hpp"
+#include "metrics_log.hpp"
 #include "telemetry/aggregates.hpp"
 #include "telemetry/record_log.hpp"
 #include "telemetry/signaling_dataset.hpp"
@@ -936,7 +937,8 @@ TEST(SimulatorDurability, SinkThrowMidDayRollsBackAndReplaysExactlyOnce) {
 TEST(SimulatorDurability, RetriedDayKeepsOneMetricsRowPerUeDay) {
   const StudyConfig cfg = chaos_config();
 
-  telemetry::UeDayStore clean;
+  // Every row an uninterrupted run emits, in emission order.
+  testing::MetricsLog clean;
   Simulator reference{cfg};
   reference.add_metrics_sink(&clean);
   reference.run();

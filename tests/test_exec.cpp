@@ -25,7 +25,7 @@
 #include "exec/sharded_runner.hpp"
 #include "exec/thread_pool.hpp"
 #include "io/file.hpp"
-#include "telemetry/aggregates.hpp"
+#include "metrics_log.hpp"
 #include "telemetry/record_log.hpp"
 #include "telemetry/signaling_dataset.hpp"
 #include "util/rng.hpp"
@@ -329,7 +329,7 @@ struct RunCapture {
 RunCapture run_with_threads(unsigned threads) {
   ExecWorld& w = ExecWorld::instance();
   telemetry::SignalingDataset dataset;
-  telemetry::UeDayStore ue_days;
+  testing::MetricsLog ue_days;
   w.sim->set_threads(threads);
   w.sim->restore(w.day0);
   w.sim->add_sink(&dataset);
@@ -343,7 +343,7 @@ RunCapture run_with_threads(unsigned threads) {
   for (const auto& record : dataset.records()) {
     RecordLog::encode_record(record, capture.record_bytes);
   }
-  capture.metrics.assign(ue_days.rows().begin(), ue_days.rows().end());
+  capture.metrics = ue_days.rows();
   capture.records_emitted = w.sim->records_emitted();
   capture.total_handovers = w.sim->core_network().total_handovers();
   return capture;
@@ -515,7 +515,7 @@ ReuseCapture run_reuse_arm(bool reuse, unsigned threads, const std::string& dir,
   log.open();
 
   telemetry::SignalingDataset dataset;
-  telemetry::UeDayStore ue_days;
+  testing::MetricsLog ue_days;
   DayCheckpoint day0;
   day0.seed = cfg.seed;
   sim.set_threads(threads);
@@ -539,7 +539,7 @@ ReuseCapture run_reuse_arm(bool reuse, unsigned threads, const std::string& dir,
   for (const auto& record : dataset.records()) {
     RecordLog::encode_record(record, c.record_bytes);
   }
-  c.metrics.assign(ue_days.rows().begin(), ue_days.rows().end());
+  c.metrics = ue_days.rows();
   c.records_emitted = sim.records_emitted();
   c.total_handovers = sim.core_network().total_handovers();
   c.wal = log_bytes(dir);

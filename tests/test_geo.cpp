@@ -318,8 +318,11 @@ Layout empty_layout() {
   return l;
 }
 
-/// A named SpatialIndexProperty input. Seeds print as their number, so the
-/// uniform cases keep their historical test names.
+/// A named SpatialIndexProperty input. gtest numbers the instances, but
+/// gtest_discover_tests names each ctest test by its printed parameter, so
+/// printing a seed as its bare number keeps the uniform cases' names
+/// (Seeds/SpatialIndexProperty.NearestMatchesBruteForce/1234). A
+/// std::string parameter would print quoted and rename them to /"1234".
 struct LayoutName {
   std::string name;
 };

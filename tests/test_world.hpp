@@ -8,6 +8,7 @@
 
 #include "core/report.hpp"
 #include "core/simulator.hpp"
+#include "metrics_log.hpp"
 #include "telemetry/aggregates.hpp"
 #include "telemetry/signaling_dataset.hpp"
 
@@ -23,7 +24,7 @@ struct TestWorld {
   telemetry::CauseAggregator* causes = nullptr;
   telemetry::DurationAggregator* durations = nullptr;
   telemetry::TypeMixAggregator* mix = nullptr;
-  telemetry::UeDayStore ue_days;
+  MetricsLog ue_days;  // every row as emitted, duplicates included
 
   std::unique_ptr<telemetry::TemporalAggregator> temporal_owned;
   std::unique_ptr<telemetry::SectorDayAggregator> sector_day_owned;
