@@ -14,11 +14,14 @@
 // TL_BENCH_DAYS, TL_BENCH_SCALE, TL_BENCH_SEED (see bench_world.hpp).
 //
 // --resilience measures the cost of supervision instead: the same world runs
-// through the StudySupervisor with seeded task faults (throws, transient
-// EIOs, slowdowns) injected into 0% / 1% / 5% of shard attempts, reporting
-// UE-days/sec and the retry overhead each storm level costs, and writes
-// BENCH_resilience.json. The stream checksum must not move across fault
-// rates — a resilience run that changes bytes fails instead of reporting.
+// unsupervised on the sharded path, then through the StudySupervisor with
+// seeded task faults (throws, transient EIOs, slowdowns) injected into
+// 0% / 1% / 5% of shard attempts, all at the same thread count. It reports
+// UE-days/sec for the unsupervised run and for each storm level, plus the
+// retry overhead each storm costs, and writes BENCH_resilience.json. The
+// fault-free supervised stream must match the unsupervised one, and the
+// checksum must not move across fault rates — a resilience run that changes
+// bytes fails instead of reporting.
 //
 // --obs measures the cost of the observability layer (src/obs): the same
 // world runs with no metrics registry installed vs. with a live registry
@@ -490,6 +493,11 @@ int main(int argc, char** argv) {
 
   if (resilience) {
     const unsigned threads = smoke ? 2 : std::min(hw, 4u);
+    const Measurement plain =
+        timed_run(sim, threads, cfg.days, cfg.seed, cfg.population.count);
+    std::cerr << "[bench_throughput] unsupervised wall_ms=" << plain.wall_ms
+              << " ue_days/s=" << plain.ue_days_per_sec << " crc=" << std::hex
+              << plain.checksum << std::dec << "\n";
     std::vector<StormMeasurement> storms;
     for (const double rate : {0.0, 0.01, 0.05}) {
       const StormMeasurement m =
@@ -500,6 +508,12 @@ int main(int argc, char** argv) {
                 << m.checksum << std::dec << "\n";
       storms.push_back(m);
     }
+    if (storms.front().records != plain.records ||
+        storms.front().checksum != plain.checksum) {
+      std::cerr << "[bench_throughput] FAIL: the fault-free supervised stream differs"
+                   " from the unsupervised run\n";
+      return 1;
+    }
     for (const auto& m : storms) {
       if (m.records != storms.front().records ||
           m.checksum != storms.front().checksum) {
@@ -509,21 +523,26 @@ int main(int argc, char** argv) {
       }
     }
     std::ofstream json{out_path, std::ios::trunc};
-    json << "[\n";
+    json << "{\n"
+         << "  \"threads\": " << threads << ",\n"
+         << "  \"seed\": " << cfg.seed << ",\n"
+         << "  \"unsupervised\": {\"ue_days_per_sec\": "
+         << static_cast<std::uint64_t>(plain.ue_days_per_sec)
+         << ", \"wall_ms\": " << static_cast<std::uint64_t>(plain.wall_ms) << "},\n"
+         << "  \"storms\": [\n";
     for (std::size_t i = 0; i < storms.size(); ++i) {
       const auto& m = storms[i];
       const double overhead =
           storms.front().wall_ms > 0 ? m.wall_ms / storms.front().wall_ms - 1.0 : 0.0;
-      json << "  {\"fault_rate\": " << m.fault_rate << ", \"threads\": " << threads
+      json << "    {\"fault_rate\": " << m.fault_rate
            << ", \"ue_days_per_sec\": " << static_cast<std::uint64_t>(m.ue_days_per_sec)
            << ", \"wall_ms\": " << static_cast<std::uint64_t>(m.wall_ms)
            << ", \"retries\": " << m.retries
            << ", \"shard_attempts\": " << m.shard_attempts
            << ", \"retry_overhead_pct\": " << static_cast<std::int64_t>(overhead * 100)
-           << ", \"seed\": " << cfg.seed << "}" << (i + 1 < storms.size() ? "," : "")
-           << "\n";
+           << "}" << (i + 1 < storms.size() ? "," : "") << "\n";
     }
-    json << "]\n";
+    json << "  ]\n}\n";
     if (!json) {
       std::cerr << "[bench_throughput] FAIL: could not write " << out_path << "\n";
       return 1;

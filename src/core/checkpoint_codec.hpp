@@ -1,15 +1,15 @@
 #pragma once
 
-// Binary (de)serialization of DayCheckpoint for embedding inside the durable
-// record log's day commit markers.
+// Binary (de)serialization of DayCheckpoint: the one checkpoint format,
+// embedded inside the durable record log's day commit markers and written
+// verbatim as the standalone checkpoint file (Simulator::save_checkpoint)
+// for runs without a durable log.
 //
 // Persisting the checkpoint *inside* the marker is what makes "records
 // through day D" and "resume state after day D" a single atomic unit: the
 // marker frame either survives (CRC-valid, behind an fsync) carrying both,
 // or recovery discards both together. There is no ordering window between
-// two files to reconcile. The standalone text checkpoint file
-// (Simulator::save_checkpoint) remains as a human-readable secondary for
-// runs without a durable log.
+// two files to reconcile.
 
 #include <cstdint>
 #include <span>

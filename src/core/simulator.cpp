@@ -1,9 +1,6 @@
 #include "core/simulator.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 
@@ -17,7 +14,8 @@
 #include "policy/policies.hpp"
 #include "ran/propagation.hpp"
 #include "supervise/cancellation.hpp"
-#include "util/crc32c.hpp"
+#include "supervise/supervisor.hpp"
+#include "supervise/task_fault_injector.hpp"
 
 namespace tl::core {
 
@@ -149,11 +147,6 @@ void Simulator::set_quarantined_ues(std::vector<devices::UeId> ues) {
   quarantined_ues_ = std::move(ues);
 }
 
-bool Simulator::is_quarantined(devices::UeId ue) const noexcept {
-  return !quarantined_ues_.empty() &&
-         std::binary_search(quarantined_ues_.begin(), quarantined_ues_.end(), ue);
-}
-
 void Simulator::set_fault_schedule(const faults::FaultSchedule* schedule) {
   faults_ = schedule;
   energy_.set_availability_override(schedule);
@@ -224,42 +217,15 @@ void Simulator::restore(const DayCheckpoint& checkpoint) {
 }
 
 void Simulator::save_checkpoint(const std::string& path) const {
-  // Crash-safe protocol: compose the payload (with a CRC32C trailer so the
-  // loader can reject bit rot, not just truncation), write it to a sibling
-  // temp file, fsync, then rename over the target. A crash at any point
-  // leaves either the old checkpoint or the new one — never a torn mix.
-  std::ostringstream body;
-  body << "telcolens-checkpoint v3\n";
-  body << "seed " << config_.seed << "\n";
-  body << "next_day " << next_day_ << "\n";
-  body << "records_emitted " << records_emitted_ << "\n";
-  body << "quarantined " << quarantined_ues_.size();
-  for (const auto ue : quarantined_ues_) body << " " << ue;
-  body << "\n";
-  for (const auto region : geo::kAllRegions) {
-    const auto& mme = core_.mme(region);
-    const auto& sgsn = core_.sgsn(region);
-    const auto& msc = core_.msc(region);
-    const auto& sgw = core_.sgw(region);
-    body << "region " << static_cast<int>(region) << " " << mme.handovers.procedures
-         << " " << mme.handovers.successes << " " << mme.handovers.failures << " "
-         << mme.path_switches.procedures << " " << mme.path_switches.successes << " "
-         << mme.path_switches.failures << " " << sgsn.relocations.procedures << " "
-         << sgsn.relocations.successes << " " << sgsn.relocations.failures << " "
-         << msc.srvcc.procedures << " " << msc.srvcc.successes << " "
-         << msc.srvcc.failures << " " << sgw.bearer_modifications << "\n";
-  }
-  std::string payload = body.str();
-  char trailer[16];
-  std::snprintf(trailer, sizeof trailer, "crc %08x\n",
-                util::crc32c(payload.data(), payload.size()));
-  payload += trailer;
-
+  // Crash-safe protocol: write the codec bytes (CRC32C trailer included) to
+  // a sibling temp file, fsync, then rename over the target. A crash at any
+  // point leaves either the old checkpoint or the new one — never a torn mix.
+  const std::vector<std::uint8_t> bytes = encode_checkpoint(checkpoint());
   const std::string tmp = path + ".tmp";
   auto& fs = io::StdioFileSystem::instance();
   try {
     auto file = fs.open(tmp, io::OpenMode::kTruncate);
-    if (file->write(payload.data(), payload.size()) != payload.size()) {
+    if (file->write(bytes.data(), bytes.size()) != bytes.size()) {
       throw io::IoError{"short write (device full?)"};
     }
     file->sync();
@@ -273,76 +239,25 @@ void Simulator::save_checkpoint(const std::string& path) const {
 }
 
 bool Simulator::load_checkpoint(const std::string& path) {
-  std::ifstream file{path, std::ios::binary};
-  if (!file) return false;  // no checkpoint yet: start from day 0
-  const auto corrupt = [&path]() -> std::runtime_error {
-    return std::runtime_error{"load_checkpoint: corrupt checkpoint " + path};
-  };
-  // Verify the CRC trailer over the raw bytes before parsing anything:
-  // truncation, bit flips, and trailing garbage all fail here, and no
-  // simulator state is touched until the whole file has validated.
-  std::ostringstream slurp;
-  slurp << file.rdbuf();
-  const std::string content = slurp.str();
-  const std::size_t crc_pos = content.rfind("\ncrc ");
-  if (crc_pos == std::string::npos) throw corrupt();
-  const std::string payload = content.substr(0, crc_pos + 1);
-  unsigned long stored_crc = 0;
-  try {
-    std::size_t digits = 0;
-    stored_crc = std::stoul(content.substr(crc_pos + 5), &digits, 16);
-    if (digits == 0) throw corrupt();
-  } catch (const std::logic_error&) {
-    throw corrupt();
-  }
-  char expected_trailer[16];
-  std::snprintf(expected_trailer, sizeof expected_trailer, "crc %08lx\n", stored_crc);
-  if (content != payload + expected_trailer) throw corrupt();  // trailing garbage
-  if (stored_crc != util::crc32c(payload.data(), payload.size())) throw corrupt();
-
-  std::istringstream is{payload};
-  std::string magic, version, key;
-  if (!(is >> magic >> version) || magic != "telcolens-checkpoint" ||
-      (version != "v2" && version != "v3")) {
-    throw corrupt();
-  }
+  auto& fs = io::StdioFileSystem::instance();
+  if (!fs.exists(path)) return false;  // no checkpoint yet: start from day 0
+  std::vector<std::uint8_t> bytes;
   DayCheckpoint cp;
-  if (!(is >> key >> cp.seed) || key != "seed") throw corrupt();
-  if (!(is >> key >> cp.next_day) || key != "next_day") throw corrupt();
-  if (!(is >> key >> cp.records_emitted) || key != "records_emitted") throw corrupt();
-  if (version == "v3") {
-    // v3 adds the quarantined-UE set; v2 files (pre-supervision) imply none.
-    std::size_t count = 0;
-    if (!(is >> key >> count) || key != "quarantined") throw corrupt();
-    cp.quarantined_ues.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      devices::UeId ue = 0;
-      if (!(is >> ue)) throw corrupt();
-      if (!cp.quarantined_ues.empty() && ue <= cp.quarantined_ues.back()) {
-        throw corrupt();  // canonical form is sorted + unique
-      }
-      cp.quarantined_ues.push_back(ue);
+  try {
+    auto file = fs.open(path, io::OpenMode::kRead);
+    bytes.resize(file->size());
+    std::size_t have = 0;
+    while (have < bytes.size()) {
+      const std::size_t n = file->read(bytes.data() + have, bytes.size() - have);
+      if (n == 0) throw io::IoError{"short read"};
+      have += n;
     }
-  }
-  for (std::size_t i = 0; i < geo::kAllRegions.size(); ++i) {
-    int region_index = -1;
-    if (!(is >> key >> region_index) || key != "region" || region_index < 0 ||
-        region_index >= static_cast<int>(geo::kAllRegions.size())) {
-      throw corrupt();
-    }
-    const auto region = static_cast<geo::Region>(region_index);
-    auto& mme = cp.core.mme(region);
-    auto& sgsn = cp.core.sgsn(region);
-    auto& msc = cp.core.msc(region);
-    auto& sgw = cp.core.sgw(region);
-    if (!(is >> mme.handovers.procedures >> mme.handovers.successes >>
-          mme.handovers.failures >> mme.path_switches.procedures >>
-          mme.path_switches.successes >> mme.path_switches.failures >>
-          sgsn.relocations.procedures >> sgsn.relocations.successes >>
-          sgsn.relocations.failures >> msc.srvcc.procedures >> msc.srvcc.successes >>
-          msc.srvcc.failures >> sgw.bearer_modifications)) {
-      throw corrupt();
-    }
+    // The codec's exact-size and CRC checks reject truncation, bit flips,
+    // and trailing garbage before any field is parsed, and no simulator
+    // state is touched until the whole file has validated.
+    cp = decode_checkpoint(bytes);
+  } catch (const std::runtime_error&) {  // io::IoError included
+    throw std::runtime_error{"load_checkpoint: corrupt checkpoint " + path};
   }
   if (cp.seed != config_.seed) {
     throw std::runtime_error{"load_checkpoint: seed mismatch in " + path};
@@ -377,10 +292,11 @@ void Simulator::resolve_obs() {
       reg->histogram("tl_sim_day_seconds",
                      obs::MetricsRegistry::latency_edges_s(),
                      "Wall time per simulated study day");
-  // Same family ShardedDayRunner records its worker spans into (registration
-  // is idempotent by name): the serial path books its whole UE loop here, so
-  // stage accounting — and the throughput bench's --profile breakdown — is
-  // populated at 1 thread too instead of silently reading zero.
+  // Same family ShardedDayRunner and StudySupervisor record their worker
+  // spans into (registration is idempotent by name): the serial day books
+  // its whole UE loop here, so stage accounting — and the throughput bench's
+  // --profile breakdown — is populated at 1 thread too instead of silently
+  // reading zero.
   obs_serial_sim_seconds_ =
       reg->histogram("tl_exec_shard_sim_seconds",
                      obs::MetricsRegistry::latency_edges_s(),
@@ -400,14 +316,7 @@ void Simulator::run_day(int day) {
   const corenet::CoreNetwork core_before = core_;
   const std::uint64_t emitted_before = records_emitted_;
   try {
-    const unsigned threads = exec::ThreadPool::resolve_threads(config_.threads);
-    if (supervisor_ != nullptr && population_->size() > 1) {
-      run_day_supervised(day);
-    } else if (threads > 1 && population_->size() > 1) {
-      run_day_sharded(day, threads);
-    } else {
-      run_day_serial(day);
-    }
+    simulate_day(day);
     // Sequential progress advances the checkpoint cursor; replaying an
     // already-completed day leaves it alone. The cursor moves BEFORE the
     // sinks' day-end hooks so a durable log's commit marker embeds the
@@ -435,34 +344,6 @@ void Simulator::run_day(int day) {
   }
 }
 
-void Simulator::run_day_serial(int day) {
-  // The serial path is one shard covering the whole population; booking it
-  // into the shard-sim family keeps the stage breakdown comparable across
-  // thread counts (1 thread = 1 span per day).
-  obs::ScopedTimer sim_span{obs_serial_sim_seconds_};
-  EmitFrame out;
-  out.core = &core_;
-  out.sinks = {sinks_.data(), sinks_.size()};
-  out.metrics_sinks = {metrics_sinks_.data(), metrics_sinks_.size()};
-  try {
-    for (const auto& ue : population_->ues()) {
-      if (is_quarantined(ue.id)) continue;
-      // Only 4G/5G-capable devices produce records at the EPC observation
-      // point (§8): legacy-only UEs handover inside 2G/3G, which the MME
-      // never sees — but their mobility metrics still exist network-side.
-      if (topology::supports(ue.rat_support, topology::Rat::kG4)) {
-        simulate_ue_day(ue, plans_[ue.id], day, out);
-      } else if (config_.collect_ue_metrics && !metrics_sinks_.empty()) {
-        simulate_legacy_ue_day(ue, plans_[ue.id], day, out);
-      }
-    }
-  } catch (...) {
-    sim_span.cancel();  // aborted days stay out of the profile (as run_day)
-    throw;
-  }
-  records_emitted_ += out.records;
-}
-
 // One private world-view per shard: procedures book into the shard's own
 // CoreNetwork and records/metrics land in shard buffers, so workers share
 // nothing mutable. The slab persists across days — the fix for the
@@ -473,7 +354,6 @@ struct Simulator::DayShards {
     corenet::CoreNetwork core;
     exec::RecordBuffer records;
     exec::MetricsBuffer metrics;
-    std::uint64_t emitted = 0;
     /// Previous day's emission counts: the reserve() hints that let a cold
     /// (or geometry-rebuilt) shard pre-size instead of growing push by push.
     std::size_t record_hint = 0;
@@ -482,78 +362,154 @@ struct Simulator::DayShards {
   std::vector<Shard> shards;
 };
 
-void Simulator::run_day_sharded(int day, unsigned threads) {
-  if (runner_ == nullptr || runner_->thread_count() != threads ||
-      runner_obs_epoch_ != obs::global_epoch()) {
+void Simulator::simulate_day(int day) {
+  const auto& ues = population_->ues();
+  const bool want_metrics = config_.collect_ue_metrics && !metrics_sinks_.empty();
+  const unsigned threads = exec::ThreadPool::resolve_threads(config_.threads);
+  if (ues.size() <= 1 || (supervisor_ == nullptr && threads <= 1)) {
+    // Serial: the same loop run inline, aimed straight at the live sinks
+    // and core_. Staging would hold the whole day's records for nothing to
+    // merge. Booking the span into the shard-sim family keeps the stage
+    // breakdown comparable across thread counts (1 thread = 1 span per day).
+    obs::ScopedTimer sim_span{obs_serial_sim_seconds_};
+    EmitFrame out;
+    out.core = &core_;
+    out.sinks = sinks_;
+    if (want_metrics) out.metrics_sinks = metrics_sinks_;
+    try {
+      simulate_range(day, 0, ues.size(), quarantined_ues_, out);
+    } catch (...) {
+      sim_span.cancel();  // aborted days stay out of the profile (as run_day)
+      throw;
+    }
+    records_emitted_ += out.records;
+    return;
+  }
+
+  if (supervisor_ == nullptr &&
+      (runner_ == nullptr || runner_->thread_count() != threads ||
+       runner_obs_epoch_ != obs::global_epoch())) {
     exec::ShardedDayRunner::Options opt;
     opt.threads = threads;
     opt.min_items_per_shard = config_.min_ues_per_shard;
     runner_ = std::make_unique<exec::ShardedDayRunner>(opt);
     runner_obs_epoch_ = obs::global_epoch();
   }
-  const auto& ues = population_->ues();
-  const std::size_t shard_count = runner_->shard_count(ues.size());
+  const std::size_t shard_count = supervisor_ != nullptr
+                                      ? supervisor_->shard_count(ues.size())
+                                      : runner_->shard_count(ues.size());
   if (day_shards_ == nullptr) day_shards_ = std::make_unique<DayShards>();
   auto& shards = day_shards_->shards;
   if (shards.size() != shard_count || !config_.reuse_shard_state) {
-    // Geometry change (thread sweep, population change) or reuse disabled:
-    // retained capacities and hints belong to different UE ranges — drop
-    // the slab and let the day grow it organically, as a fresh run would.
+    // Geometry change (thread sweep, supervisor switch, population change)
+    // or reuse disabled: retained capacities and hints belong to different
+    // UE ranges — drop the slab and let the day grow it organically, as a
+    // fresh run would.
     shards.clear();
     shards.resize(shard_count);
   }
-  const bool want_metrics = config_.collect_ue_metrics && !metrics_sinks_.empty();
-  runner_->run(
-      ues.size(),
-      [&](std::size_t shard, std::size_t first, std::size_t last) {
-        DayShards::Shard& s = shards[shard];
-        // Reset on ENTRY, not after merge: an aborted day leaves stale
-        // contents behind, and entry-reset makes every attempt (including a
-        // transactional replay of the same day) self-contained. clear()
-        // keeps the warm allocation; reserve() only acts on a cold shard.
-        s.core = corenet::CoreNetwork{};
-        s.records.clear();
-        s.records.reserve(s.record_hint);
-        s.metrics.clear();
-        if (want_metrics) s.metrics.reserve(s.metrics_hint);
-        s.emitted = 0;
-        telemetry::RecordSink* record_sink = &s.records;
-        telemetry::MetricsSink* metrics_sink = &s.metrics;
-        EmitFrame out;
-        out.core = &s.core;
-        out.sinks = {&record_sink, 1};
-        if (want_metrics) out.metrics_sinks = {&metrics_sink, 1};
-        for (std::size_t i = first; i < last; ++i) {
-          const auto& ue = ues[i];
-          if (is_quarantined(ue.id)) continue;
-          if (topology::supports(ue.rat_support, topology::Rat::kG4)) {
-            simulate_ue_day(ue, plans_[ue.id], day, out);
-          } else if (want_metrics) {
-            simulate_legacy_ue_day(ue, plans_[ue.id], day, out);
-          }
-        }
-        s.emitted = out.records;
-      },
-      [&](std::size_t shard) {
-        DayShards::Shard& s = shards[shard];
-        s.record_hint = s.records.size();
-        s.metrics_hint = s.metrics.size();
-        s.records.drain_to({sinks_.data(), sinks_.size()});
-        s.metrics.drain_to({metrics_sinks_.data(), metrics_sinks_.size()});
-        // Counters shard-reduce in merge order: exact integer sums, no
-        // atomics, no dependence on which worker finished first.
-        core_.accumulate(s.core);
-        records_emitted_ += s.emitted;
-      });
+
+  const supervise::TaskFaultInjector* injector =
+      supervisor_ != nullptr ? supervisor_->options().injector : nullptr;
+  const auto simulate = [&](DayShards::Shard& s, std::size_t first, std::size_t last,
+                            std::span<const devices::UeId> skip,
+                            const supervise::CancelToken* cancel) {
+    // Reset on ENTRY, not after merge: an aborted day or a failed attempt
+    // leaves stale contents behind, and entry-reset makes every attempt
+    // (including a retry or a transactional replay of the same day)
+    // self-contained. clear() keeps the warm allocation; reserve() only acts
+    // on a cold shard.
+    s.core = corenet::CoreNetwork{};
+    s.records.clear();
+    s.records.reserve(s.record_hint);
+    s.metrics.clear();
+    if (want_metrics) s.metrics.reserve(s.metrics_hint);
+    telemetry::RecordSink* record_sink = &s.records;
+    telemetry::MetricsSink* metrics_sink = &s.metrics;
+    EmitFrame out;
+    out.core = &s.core;
+    out.sinks = {&record_sink, 1};
+    if (want_metrics) out.metrics_sinks = {&metrics_sink, 1};
+    out.cancel = cancel;
+    out.injector = injector;
+    simulate_range(day, first, last, skip, out);
+  };
+  const auto merge = [&](std::size_t shard) {
+    DayShards::Shard& s = shards[shard];
+    s.record_hint = s.records.size();
+    s.metrics_hint = s.metrics.size();
+    // The shard's buffer holds exactly the records it emitted. Counters
+    // shard-reduce in merge order: exact integer sums, no atomics, no
+    // dependence on which worker finished first.
+    records_emitted_ += s.records.size();
+    s.records.drain_to(sinks_);
+    s.metrics.drain_to(metrics_sinks_);
+    core_.accumulate(s.core);
+  };
+
+  if (supervisor_ == nullptr) {
+    runner_->run(
+        ues.size(),
+        [&](std::size_t shard, std::size_t first, std::size_t last) {
+          simulate(shards[shard], first, last, quarantined_ues_, nullptr);
+        },
+        merge);
+  } else {
+    const supervise::DayReport report = supervisor_->run_day(
+        day, ues.size(), quarantined_ues_,
+        [&](std::size_t shard, std::size_t first, std::size_t last,
+            const supervise::CancelToken* cancel, std::span<const devices::UeId> skip) {
+          simulate(shards[shard], first, last, skip, cancel);
+        },
+        [&](std::size_t first, std::size_t last, const supervise::CancelToken* cancel,
+            std::span<const devices::UeId> skip) {
+          DayShards::Shard scratch;  // probe output is evidence, not data
+          simulate(scratch, first, last, skip, cancel);
+        },
+        merge);
+    // Fold the day's quarantine into the persistent set BEFORE run_day()'s
+    // on_day_end loop fires: the durable log's commit marker must embed the
+    // post-day checkpoint including the UEs this very day withdrew.
+    for (const auto& q : report.quarantined) {
+      const auto pos =
+          std::lower_bound(quarantined_ues_.begin(), quarantined_ues_.end(), q.item);
+      if (pos == quarantined_ues_.end() || *pos != q.item) {
+        quarantined_ues_.insert(pos, q.item);
+      }
+    }
+  }
+
   // Reuse trades resident bytes for allocation-free steady state; under
   // governor pressure (or with reuse disabled) give the memory back at the
-  // day boundary — exactly where the old always-release behavior sat.
+  // day boundary.
   govern::MemoryBudget* governor = govern::global_governor();
   const bool pressured =
       governor != nullptr && governor->level() != govern::PressureLevel::kSteady;
   if (pressured || !config_.reuse_shard_state) {
     shards.clear();
     shards.shrink_to_fit();
+  }
+}
+
+void Simulator::simulate_range(int day, std::size_t first, std::size_t last,
+                               std::span<const devices::UeId> skip,
+                               EmitFrame& out) const {
+  const auto& ues = population_->ues();
+  for (std::size_t i = first; i < last; ++i) {
+    const auto& ue = ues[i];
+    if (std::binary_search(skip.begin(), skip.end(), ue.id)) continue;
+    if (out.cancel != nullptr) out.cancel->throw_if_cancelled();
+    // Poison channel of the chaos injector: per-UE, day- and
+    // thread-independent, so bisection isolates the same UEs everywhere.
+    if (out.injector != nullptr) out.injector->on_ue(ue.id, out.cancel);
+    // Only 4G/5G-capable devices produce records at the EPC observation
+    // point (§8): legacy-only UEs handover inside 2G/3G, which the MME
+    // never sees — but their mobility metrics still exist network-side.
+    if (topology::supports(ue.rat_support, topology::Rat::kG4)) {
+      simulate_ue_day(ue, plans_[ue.id], day, out);
+    } else if (config_.collect_ue_metrics && !out.metrics_sinks.empty()) {
+      simulate_legacy_ue_day(ue, plans_[ue.id], day, out);
+    }
   }
 }
 

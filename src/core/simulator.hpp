@@ -7,6 +7,12 @@
 // catalog -> population -> coverage profiles -> core network). run()/
 // run_day() then replay UE movement through the RAN decision logic and the
 // EPC handover state machine. Everything is deterministic in the seed.
+//
+// A day has one execution path: one UE-range loop (simulate_range) that
+// either writes straight into the sinks (serial) or fills one persistent
+// slab of per-shard staging that merges back in UE order — driven by
+// exec::ShardedDayRunner at threads > 1, and by supervise::StudySupervisor
+// when a supervisor is installed. Every mode emits the same bytes.
 
 #include <memory>
 #include <span>
@@ -43,6 +49,7 @@ class ShardedDayRunner;
 namespace tl::supervise {
 class CancelToken;
 class StudySupervisor;
+class TaskFaultInjector;
 }
 
 namespace tl::core {
@@ -100,28 +107,30 @@ class Simulator {
   void run();
   /// Runs a single day (idempotent per day; callers sequence days). Running
   /// the day at the checkpoint cursor advances the cursor; out-of-order
-  /// replays leave it alone. With `config().threads` != 1 the day executes
-  /// on the parallel engine (src/exec): UE shards simulate concurrently and
-  /// merge back in canonical UE order, so sinks — including an attached
-  /// durable log — observe a stream byte-identical to the serial run.
+  /// replays leave it alone. With `config().threads` != 1, or a supervisor
+  /// installed, the day executes on the parallel engine (src/exec): UE
+  /// shards simulate concurrently into a persistent staging slab and merge
+  /// back in canonical UE order, so sinks — including an attached durable
+  /// log — observe a stream byte-identical to the serial run.
   void run_day(int day);
 
   /// Installs (or clears, with nullptr) a borrowed supervisor: subsequent
-  /// days execute through StudySupervisor::run_day — shard attempts get
-  /// retries with backoff, watchdog deadlines (cooperative cancellation
-  /// polled in the per-trace-event hot loop), and poison-UE bisection +
-  /// quarantine — instead of aborting on the first shard failure. Output
-  /// stays byte-identical to an unsupervised serial run over the surviving
-  /// (non-quarantined) population. The supervisor must outlive the runs.
+  /// days drive the same shard slab through StudySupervisor::run_day — shard
+  /// attempts get retries with backoff, watchdog deadlines (cooperative
+  /// cancellation polled in the per-trace-event hot loop), and poison-UE
+  /// bisection + quarantine — instead of aborting on the first shard
+  /// failure. Output stays byte-identical to an unsupervised serial run over
+  /// the surviving (non-quarantined) population. The supervisor must outlive
+  /// the runs.
   void set_supervisor(supervise::StudySupervisor* supervisor) noexcept {
     supervisor_ = supervisor;
   }
   supervise::StudySupervisor* supervisor() const noexcept { return supervisor_; }
 
   /// Replaces the quarantined-UE set (sorted internally). Quarantined UEs
-  /// are skipped by every execution path — serial, sharded, supervised — so
-  /// a fresh simulator seeded with a previous run's quarantine reproduces
-  /// its surviving-population stream exactly.
+  /// are skipped at every thread count, supervised or not, so a fresh
+  /// simulator seeded with a previous run's quarantine reproduces its
+  /// surviving-population stream exactly.
   void set_quarantined_ues(std::vector<devices::UeId> ues);
   const std::vector<devices::UeId>& quarantined_ues() const noexcept {
     return quarantined_ues_;
@@ -140,9 +149,11 @@ class Simulator {
   /// Restores the day cursor and counters. Throws std::invalid_argument on
   /// a seed mismatch (the checkpoint belongs to a different study).
   void restore(const DayCheckpoint& checkpoint);
-  /// File forms of checkpoint()/restore(). load_checkpoint returns false
-  /// when `path` does not exist and throws std::runtime_error on a corrupt
-  /// or mismatched file.
+  /// File forms of checkpoint()/restore(), in the binary checkpoint codec
+  /// (core/checkpoint_codec.hpp) the durable log's commit markers embed.
+  /// save_checkpoint replaces `path` atomically (temp file, fsync, rename).
+  /// load_checkpoint returns false when `path` does not exist and throws
+  /// std::runtime_error on a corrupt or mismatched file, restoring nothing.
   void save_checkpoint(const std::string& path) const;
   bool load_checkpoint(const std::string& path);
   /// First day the next run() call will simulate.
@@ -176,33 +187,39 @@ class Simulator {
  private:
   /// Where one UE-day emits: the core network booking its procedures, the
   /// record/metrics sinks receiving its stream, and a record counter. The
-  /// serial path aims it at the simulator's own state; the parallel path at
-  /// per-shard buffers that merge back in UE order. Keeping every mutation
-  /// behind this frame is what makes simulate_ue_day const — safe to call
-  /// concurrently for disjoint UE-days by construction.
+  /// serial day aims it at the simulator's own state; sharded days at one
+  /// slab shard's buffers, which merge back in UE order. Keeping every
+  /// mutation behind this frame is what makes simulate_ue_day const — safe
+  /// to call concurrently for disjoint UE-days by construction.
   struct EmitFrame {
     corenet::CoreNetwork* core = nullptr;
     std::span<telemetry::RecordSink* const> sinks;
     std::span<telemetry::MetricsSink* const> metrics_sinks;
     std::uint64_t records = 0;
-    /// Cooperative cancellation, polled once per trace event. Null (the
-    /// serial/sharded paths) costs a single branch per event; the
-    /// supervised path points it at the shard attempt's token so a
-    /// watchdog-fired deadline interrupts the UE mid-day.
+    /// Cooperative cancellation, polled once per UE and once per trace
+    /// event. Null unless a supervisor runs the day; then it points at the
+    /// shard attempt's token so a watchdog-fired deadline interrupts the UE
+    /// mid-day.
     const supervise::CancelToken* cancel = nullptr;
+    /// The supervisor's chaos injector, whose poison channel is consulted
+    /// once per UE. Null unless a supervisor with an injector runs the day.
+    const supervise::TaskFaultInjector* injector = nullptr;
   };
 
-  void run_day_serial(int day);
-  void run_day_sharded(int day, unsigned threads);
   /// Per-shard staging state (private CoreNetwork + record/metrics buffers)
-  /// kept across days: shards reset-not-reallocate on entry, so day N+1
-  /// simulates into warm buffers instead of re-paying allocation growth and
-  /// governor syncs in the hot loop. Defined in simulator.cpp.
+  /// kept across days, for sharded and supervised days alike: shards
+  /// reset-not-reallocate on entry, so day N+1 simulates into warm buffers
+  /// instead of re-paying allocation growth and governor syncs in the hot
+  /// loop. Defined in simulator.cpp.
   struct DayShards;
-  /// Defined in simulator_supervised.cpp (the only TU that needs the
-  /// supervisor's full type).
-  void run_day_supervised(int day);
-  bool is_quarantined(devices::UeId ue) const noexcept;
+  /// The day path: serial days run simulate_range inline into the live
+  /// sinks; sharded and supervised days run it per shard into day_shards_.
+  void simulate_day(int day);
+  /// The one UE-range loop, and the only caller of simulate_ue_day and
+  /// simulate_legacy_ue_day: simulates UEs [first, last) of `day` into
+  /// `out`, skipping the ids in `skip` (sorted).
+  void simulate_range(int day, std::size_t first, std::size_t last,
+                      std::span<const devices::UeId> skip, EmitFrame& out) const;
   void simulate_ue_day(const devices::Ue& ue, const mobility::UePlan& plan, int day,
                        EmitFrame& out) const;
   /// Legacy-only UEs never surface at the EPC observation point, but their
@@ -260,8 +277,9 @@ class Simulator {
   /// Parallel engine, created on the first sharded day and kept across days
   /// (and across set_threads() calls that don't change the count).
   std::unique_ptr<exec::ShardedDayRunner> runner_;
-  /// Reusable shard staging slab (see DayShards). Rebuilt only when the
-  /// shard geometry changes; released wholesale under memory pressure.
+  /// Reusable shard staging slab (see DayShards), shared by the runner and
+  /// the supervisor. Rebuilt only when the shard geometry changes; released
+  /// wholesale under memory pressure.
   std::unique_ptr<DayShards> day_shards_;
   supervise::StudySupervisor* supervisor_ = nullptr;
   /// UEs withdrawn from the study by supervised degradation (sorted,
@@ -279,7 +297,7 @@ class Simulator {
   obs::Counter obs_records_;
   obs::Gauge obs_quarantined_;
   obs::Histogram obs_day_seconds_;
-  /// Serial-path span recorded into the shared "tl_exec_shard_sim_seconds"
+  /// Serial-day span recorded into the shared "tl_exec_shard_sim_seconds"
   /// family so --profile stage accounting works at 1 thread too.
   obs::Histogram obs_serial_sim_seconds_;
 };

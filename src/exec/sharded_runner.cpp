@@ -116,7 +116,6 @@ void ShardedDayRunner::run(std::size_t item_count, const SimulateFn& simulate,
         std::exception_ptr error;
         obs::ScopedTimer span{shard_sim_seconds_};
         try {
-          if (options_.task_hook) options_.task_hook(shard, first, last);
           simulate(shard, first, last);
           span.stop();
           shards_total_.inc();

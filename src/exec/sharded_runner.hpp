@@ -54,13 +54,6 @@ class ShardedDayRunner {
     /// order — and therefore every output byte — is unchanged (proved at
     /// several windows by tests/test_govern.cpp).
     std::size_t max_live_shards = 0;
-    /// Chaos/observability seam: invoked on the worker thread at the top of
-    /// every shard task, before the simulate callback. An exception thrown
-    /// here poisons the shard exactly like one thrown by simulate — which
-    /// is the point: it lets a TaskFaultInjector (src/supervise) attack the
-    /// task boundary without touching the code under test.
-    std::function<void(std::size_t shard, std::size_t first, std::size_t last)>
-        task_hook;
   };
 
   ShardedDayRunner();  // default Options

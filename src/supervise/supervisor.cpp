@@ -137,7 +137,6 @@ StudySupervisor::StudySupervisor(SupervisorOptions options)
   exec::ShardedDayRunner::Options ro;
   ro.threads = options_.threads;
   ro.shards_per_thread = options_.shards_per_thread;
-  ro.min_items_per_shard = options_.min_items_per_shard;
   runner_ = std::make_unique<exec::ShardedDayRunner>(ro);
 }
 
@@ -164,6 +163,9 @@ void StudySupervisor::resolve_obs() {
     obs_quarantined_ = obs::Counter{};
     obs_quarantine_size_ = obs::Gauge{};
     obs_day_seconds_ = obs::Histogram{};
+    obs_shards_simulated_ = obs::Counter{};
+    obs_shard_sim_seconds_ = obs::Histogram{};
+    obs_shard_merge_seconds_ = obs::Histogram{};
     return;
   }
   obs_attempts_ = reg->counter("tl_supervise_shard_attempts_total",
@@ -182,6 +184,18 @@ void StudySupervisor::resolve_obs() {
       reg->histogram("tl_supervise_day_seconds",
                      obs::MetricsRegistry::latency_edges_s(),
                      "Wall time per supervised day");
+  // The engine's stage families, shared with ShardedDayRunner (registration
+  // is idempotent by name).
+  obs_shards_simulated_ = reg->counter("tl_exec_shards_simulated_total",
+                                       "Shards simulated by the day runner");
+  obs_shard_sim_seconds_ =
+      reg->histogram("tl_exec_shard_sim_seconds",
+                     obs::MetricsRegistry::latency_edges_s(),
+                     "Worker-side simulate time per shard");
+  obs_shard_merge_seconds_ =
+      reg->histogram("tl_exec_shard_merge_seconds",
+                     obs::MetricsRegistry::latency_edges_s(),
+                     "Caller-side ordered merge time per shard");
 }
 
 std::uint64_t StudySupervisor::backoff_ms(int day, std::size_t shard,
@@ -309,13 +323,17 @@ DayReport StudySupervisor::run_day(int day, std::size_t item_count,
             st.token->reset();
             DeadlineGuard deadline{watchdog_.get(), st.token.get(),
                                    options_.shard_deadline_ms};
+            obs::ScopedTimer span{obs_shard_sim_seconds_};
             try {
               if (options_.injector != nullptr) {
                 options_.injector->on_task_begin(day, shard, attempt, st.token.get());
               }
               simulate(shard, st.first, st.last, st.token.get(), skip);
+              span.stop();
+              obs_shards_simulated_.inc();
               st.round_status = Status::ok();
             } catch (...) {
+              span.cancel();  // failed attempts must not skew the latency profile
               // classify_exception rethrows io::SimulatedCrash, which then
               // parks in the future and unwinds out of run_day below —
               // supervision never absorbs a process death.
@@ -400,7 +418,10 @@ DayReport StudySupervisor::run_day(int day, std::size_t item_count,
   }
 
   // Every shard has a staged result: fold them in, in canonical order.
-  for (std::size_t shard = 0; shard < shards; ++shard) merge(shard);
+  for (std::size_t shard = 0; shard < shards; ++shard) {
+    obs::ScopedTimer span{obs_shard_merge_seconds_};
+    merge(shard);
+  }
 
   for (std::size_t shard = 0; shard < shards; ++shard) {
     ShardOutcome outcome;

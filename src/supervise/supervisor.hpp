@@ -124,8 +124,6 @@ struct SupervisorOptions {
   /// which matters more here than shaving fixed per-shard cost.
   unsigned threads = 0;
   unsigned shards_per_thread = 4;
-  /// Floor on items per shard (ShardedDayRunner::Options semantics).
-  std::size_t min_items_per_shard = 1;
 
   /// Re-attempts allowed per shard after its first try (per bisection round).
   int max_retries = 4;
@@ -152,7 +150,8 @@ struct SupervisorOptions {
 
   /// Optional chaos seam: consulted at the top of every shard attempt
   /// (task channel). The per-item poison channel is the caller's to wire
-  /// into its simulate/probe callbacks. Borrowed; may be null.
+  /// into its simulate/probe callbacks (the simulator passes it to its
+  /// UE loop through the EmitFrame). Borrowed; may be null.
   const TaskFaultInjector* injector = nullptr;
 
   /// Invoked (on the supervising thread) for every item as it is
@@ -205,7 +204,10 @@ class StudySupervisor {
   /// newly quarantined items are in DayReport::quarantined (the caller owns
   /// folding them into its persistent set). Throws SupervisionError when
   /// degradation is impossible (see SupervisorOptions), and propagates
-  /// io::SimulatedCrash untouched.
+  /// io::SimulatedCrash untouched. Successful attempts and merges are booked
+  /// into the engine's stage metrics (tl_exec_shards_simulated_total,
+  /// tl_exec_shard_sim_seconds, tl_exec_shard_merge_seconds) as
+  /// ShardedDayRunner books its shards; failed attempts stay out of them.
   DayReport run_day(int day, std::size_t item_count,
                     std::span<const std::uint32_t> quarantined,
                     const SimulateFn& simulate, const ProbeFn& probe,
@@ -243,6 +245,9 @@ class StudySupervisor {
   obs::Counter obs_quarantined_;
   obs::Gauge obs_quarantine_size_;
   obs::Histogram obs_day_seconds_;
+  obs::Counter obs_shards_simulated_;
+  obs::Histogram obs_shard_sim_seconds_;
+  obs::Histogram obs_shard_merge_seconds_;
 };
 
 }  // namespace tl::supervise

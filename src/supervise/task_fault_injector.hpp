@@ -60,9 +60,9 @@ class TaskFaultInjector {
   /// Pure decision function, exposed so tests can assert determinism.
   TaskFault decide_task(int day, std::size_t shard, int attempt) const;
 
-  /// Invoked at the top of a shard attempt (from ShardedDayRunner's
-  /// task_hook). Throws / hangs / sleeps per decide_task. `token` may be
-  /// null (unsupervised run): hangs then rely on hang_cap_ms.
+  /// Invoked by StudySupervisor at the top of a shard attempt. Throws /
+  /// hangs / sleeps per decide_task. `token` may be null: hangs then rely
+  /// on hang_cap_ms.
   void on_task_begin(int day, std::size_t shard, int attempt,
                      const CancelToken* token) const;
 

@@ -3,20 +3,10 @@
 namespace tl::telemetry {
 
 void PingPongDetector::consume(const HandoverRecord& record) {
-  if (!record.success) return;  // PP is defined over executed HOs
-  ++total_;
-  LastHo& last = last_by_ue_[record.anon_user_id];
-  const bool returns_to_previous_source =
-      last.target == record.source_sector && last.source == record.target_sector;
-  if (returns_to_previous_source && last.time > 0 &&
-      record.timestamp - last.time <= window_ms_) {
-    ++ping_pongs_;
-    ++by_area_[static_cast<std::size_t>(record.area)];
-    wasted_ms_ += record.duration_ms;
-  }
-  last.source = record.source_sector;
-  last.target = record.target_sector;
-  last.time = record.timestamp;
+  if (!record.success) return;
+  const analysis::HandoverHop hop{record.anon_user_id, record.timestamp,
+                                  record.source_sector, record.target_sector};
+  if (hops_.observe(hop)) wasted_ms_ += record.duration_ms;
 }
 
 }  // namespace tl::telemetry

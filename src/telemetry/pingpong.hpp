@@ -4,13 +4,14 @@
 //
 // A ping-pong (PP) HO bounces a UE from source to target and back to the
 // source within a short window — wasted signaling plus two service
-// interruptions. The paper's related work measures PP on operator data; we
-// reproduce the detector as a streaming sink and expose the knobs those
-// studies sweep (the return-window threshold).
+// interruptions. The paper's related work measures PP on operator data; this
+// sink feeds the record stream to the one PP definition,
+// analysis::PingPongDetector, and exposes the knob those studies sweep (the
+// return-window threshold).
 
 #include <cstdint>
-#include <unordered_map>
 
+#include "analysis/pingpong.hpp"
 #include "telemetry/sinks.hpp"
 
 namespace tl::telemetry {
@@ -19,39 +20,20 @@ class PingPongDetector : public RecordSink {
  public:
   /// `window_ms`: maximum time between the outbound HO and the return HO
   /// for the pair to count as a ping-pong (commonly a few seconds).
-  explicit PingPongDetector(util::TimestampMs window_ms = 5'000)
-      : window_ms_(window_ms) {}
+  explicit PingPongDetector(util::TimestampMs window_ms = 5'000) : hops_(window_ms) {}
 
+  /// Failed HOs do not move the UE, so only successful records are hops.
   void consume(const HandoverRecord& record) override;
 
-  std::uint64_t total_handovers() const noexcept { return total_; }
-  std::uint64_t ping_pongs() const noexcept { return ping_pongs_; }
-  double ping_pong_rate() const noexcept {
-    return total_ ? static_cast<double>(ping_pongs_) / static_cast<double>(total_) : 0.0;
-  }
-
-  /// PP counts split by area class of the source sector.
-  std::uint64_t ping_pongs_in(geo::AreaType area) const noexcept {
-    return by_area_[static_cast<std::size_t>(area)];
-  }
+  std::uint64_t total_handovers() const noexcept { return hops_.hops(); }
+  std::uint64_t ping_pongs() const noexcept { return hops_.ping_pongs(); }
+  double ping_pong_rate() const noexcept { return hops_.rate(); }
 
   /// Wasted signaling time (ms) spent on the returning leg of PP pairs.
   double wasted_signaling_ms() const noexcept { return wasted_ms_; }
 
-  util::TimestampMs window_ms() const noexcept { return window_ms_; }
-
  private:
-  struct LastHo {
-    topology::SectorId source = 0;
-    topology::SectorId target = 0;
-    util::TimestampMs time = 0;
-  };
-
-  util::TimestampMs window_ms_;
-  std::unordered_map<std::uint64_t, LastHo> last_by_ue_;
-  std::uint64_t total_ = 0;
-  std::uint64_t ping_pongs_ = 0;
-  std::array<std::uint64_t, 2> by_area_{};
+  analysis::PingPongDetector hops_;
   double wasted_ms_ = 0.0;
 };
 

@@ -6,13 +6,12 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <mutex>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -26,6 +25,7 @@
 #include "exec/thread_pool.hpp"
 #include "io/file.hpp"
 #include "metrics_log.hpp"
+#include "supervise/supervisor.hpp"
 #include "telemetry/record_log.hpp"
 #include "telemetry/signaling_dataset.hpp"
 #include "util/rng.hpp"
@@ -216,6 +216,28 @@ TEST(ShardedDayRunner, SimulateExceptionAbortsMergeAndPropagates) {
   for (const std::size_t shard : merged) EXPECT_LT(shard, 1u);
 }
 
+TEST(ShardedDayRunner, TaskHookExceptionPoisonsItsShardDeterministically) {
+  // A failure anywhere in a shard's task (the supervisor's fault injector
+  // throws from inside simulate) poisons that shard: run() rethrows the
+  // first poisoned shard in merge order, type and message intact, and
+  // merges nothing at or after it.
+  ShardedDayRunner runner{runner_options(4, 1)};
+  ASSERT_GT(runner.shard_count(64), 2u);
+  std::vector<std::size_t> merged;
+  try {
+    runner.run(
+        64,
+        [](std::size_t shard, std::size_t, std::size_t) {
+          if (shard == 2) throw std::domain_error{"task fault on shard 2"};
+        },
+        [&](std::size_t shard) { merged.push_back(shard); });
+    FAIL() << "expected the task's exception";
+  } catch (const std::domain_error& error) {
+    EXPECT_STREQ(error.what(), "task fault on shard 2");
+  }
+  for (const std::size_t shard : merged) EXPECT_LT(shard, 2u);
+}
+
 TEST(ShardedDayRunner, MergeExceptionPropagatesWithoutDeadlock) {
   ShardedDayRunner runner{runner_options(3)};
   std::vector<std::size_t> merged;
@@ -244,55 +266,6 @@ TEST(ShardedDayRunner, RunnerIsReusableAcrossRuns) {
     EXPECT_EQ(simulated.load(), 50u);
     EXPECT_EQ(merged, runner.shard_count(50));
   }
-}
-
-TEST(ShardedDayRunner, TaskHookRunsOncePerShardBeforeSimulate) {
-  ShardedDayRunner::Options opt = runner_options(2);
-  std::mutex mu;
-  std::vector<std::size_t> hooked;
-  std::atomic<bool> order_ok{true};
-  std::vector<std::atomic<int>> simulated(16);
-  opt.task_hook = [&](std::size_t shard, std::size_t first, std::size_t last) {
-    std::lock_guard<std::mutex> lock{mu};
-    hooked.push_back(shard);
-    if (first >= last) order_ok = false;
-    if (simulated[shard].load() != 0) order_ok = false;  // hook precedes simulate
-  };
-  ShardedDayRunner runner{opt};
-  const std::size_t shards = runner.shard_count(64);
-  ASSERT_LE(shards, simulated.size());
-  runner.run(
-      64,
-      [&](std::size_t shard, std::size_t, std::size_t) {
-        simulated[shard].fetch_add(1);
-      },
-      [](std::size_t) {});
-  ASSERT_EQ(hooked.size(), shards);
-  std::sort(hooked.begin(), hooked.end());
-  for (std::size_t s = 0; s < shards; ++s) EXPECT_EQ(hooked[s], s);
-  EXPECT_TRUE(order_ok.load());
-}
-
-TEST(ShardedDayRunner, TaskHookExceptionPoisonsItsShardDeterministically) {
-  // A hook failure is indistinguishable from a simulate failure: run()
-  // rethrows the first poisoned shard in merge order and merges nothing at
-  // or after it.
-  ShardedDayRunner::Options opt = runner_options(4, 1);
-  opt.task_hook = [](std::size_t shard, std::size_t, std::size_t) {
-    if (shard == 2) throw std::domain_error{"hook fault on shard 2"};
-  };
-  ShardedDayRunner runner{opt};
-  ASSERT_GT(runner.shard_count(64), 2u);
-  std::vector<std::size_t> merged;
-  try {
-    runner.run(
-        64, [](std::size_t, std::size_t, std::size_t) {},
-        [&](std::size_t shard) { merged.push_back(shard); });
-    FAIL() << "expected the hook's exception";
-  } catch (const std::domain_error& error) {
-    EXPECT_STREQ(error.what(), "hook fault on shard 2");
-  }
-  for (const std::size_t shard : merged) EXPECT_LT(shard, 2u);
 }
 
 // --- determinism under concurrency ------------------------------------------
@@ -477,14 +450,15 @@ TEST(Determinism, DurableLogBytesAreIdenticalAcrossThreadCounts) {
 
 // --- shard-state reuse across days -------------------------------------------
 //
-// run_day_sharded keeps its per-shard slab (CoreNetwork + record/metrics
-// buffers) alive across days, resetting it at simulate-callback entry;
-// StudyConfig::reuse_shard_state = false restores the old
-// reconstruct-every-day behavior. The two modes must be indistinguishable in
-// every observable: record bytes, metrics rows, WAL bytes, engine counters,
-// and the governor's peak accounting (warm buffers re-reserve through the
-// same capacity-doubling brackets organic growth uses, so the byte
-// high-water mark is the same trajectory either way).
+// Sharded and supervised days share one per-shard slab (CoreNetwork +
+// record/metrics buffers) that stays alive across days and resets at
+// simulate-callback entry; StudyConfig::reuse_shard_state = false restores
+// the old reconstruct-every-day behavior. The two modes must be
+// indistinguishable in every observable, whether ShardedDayRunner or
+// StudySupervisor drives the slab: record bytes, metrics rows, WAL bytes,
+// engine counters, and the governor's peak accounting (warm buffers
+// re-reserve through the same capacity-doubling brackets organic growth
+// uses, so the byte high-water mark is the same trajectory either way).
 
 struct ReuseCapture {
   std::vector<std::uint8_t> record_bytes;
@@ -493,10 +467,12 @@ struct ReuseCapture {
   std::uint64_t total_handovers = 0;
   std::string wal;
   std::uint64_t governor_peak = 0;
+  std::uint64_t record_buffer_bytes = 0;  ///< exec_record_buffers after the study
 };
 
 ReuseCapture run_reuse_arm(bool reuse, unsigned threads, const std::string& dir,
-                           bool switch_threads_mid_study = false) {
+                           bool switch_threads_mid_study = false,
+                           bool supervised = false) {
   StudyConfig cfg = StudyConfig::test_scale();
   cfg.days = 3;
   cfg.population.count = 2'000;
@@ -504,8 +480,15 @@ ReuseCapture run_reuse_arm(bool reuse, unsigned threads, const std::string& dir,
   // Declared before the simulator so it outlives the shard buffers that
   // book into it.
   govern::MemoryBudget budget;  // budget 0: accounting only, always Steady
+  std::unique_ptr<supervise::StudySupervisor> supervisor;
+  if (supervised) {
+    supervise::SupervisorOptions sup_opt;
+    sup_opt.threads = threads;
+    supervisor = std::make_unique<supervise::StudySupervisor>(sup_opt);
+  }
   Simulator sim{cfg};
   govern::ScopedGlobalGovernor install{&budget};
+  sim.set_supervisor(supervisor.get());
 
   RecordLog::Options opt;
   opt.directory = dir;
@@ -544,6 +527,7 @@ ReuseCapture run_reuse_arm(bool reuse, unsigned threads, const std::string& dir,
   c.total_handovers = sim.core_network().total_handovers();
   c.wal = log_bytes(dir);
   c.governor_peak = budget.peak_bytes();
+  c.record_buffer_bytes = budget.accountant("exec_record_buffers").bytes();
   return c;
 }
 
@@ -580,6 +564,27 @@ TEST(ShardStateReuse, SurvivesMidStudyThreadCountChange) {
   const ReuseCapture fresh = run_reuse_arm(false, 2, fresh_dir.path, true);
   const ReuseCapture warm = run_reuse_arm(true, 2, warm_dir.path, true);
   expect_reuse_eq(warm, fresh);
+}
+
+TEST(ShardStateReuse, SupervisedDaysReuseTheSameSlab) {
+  // With a supervisor installed the days run through StudySupervisor, which
+  // drives the same slab: warm and fresh runs must still agree everywhere,
+  // and at Steady pressure the warm slab keeps its record buffers (and
+  // their accounting) after the last day instead of rebuilding them daily.
+  for (const unsigned threads : {2u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    TempDir fresh_dir{"reuse_sup_fresh_" + std::to_string(threads)};
+    TempDir warm_dir{"reuse_sup_warm_" + std::to_string(threads)};
+    const ReuseCapture fresh = run_reuse_arm(false, threads, fresh_dir.path,
+                                             /*switch_threads_mid_study=*/false,
+                                             /*supervised=*/true);
+    const ReuseCapture warm = run_reuse_arm(true, threads, warm_dir.path,
+                                            /*switch_threads_mid_study=*/false,
+                                            /*supervised=*/true);
+    expect_reuse_eq(warm, fresh);
+    EXPECT_GT(warm.record_buffer_bytes, 0u);
+    EXPECT_EQ(fresh.record_buffer_bytes, 0u);
+  }
 }
 
 }  // namespace

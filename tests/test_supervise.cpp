@@ -29,6 +29,7 @@
 #include "core/simulator.hpp"
 #include "io/faulty_file.hpp"
 #include "io/file.hpp"
+#include "obs/metrics.hpp"
 #include "supervise/cancellation.hpp"
 #include "supervise/retry.hpp"
 #include "supervise/status.hpp"
@@ -833,6 +834,48 @@ TEST(SupervisedSimulator, WalBytesMatchPreQuarantinedSerialRun) {
     w.sim->run();
   }
   EXPECT_EQ(log_bytes(storm_dir.path), ref_bytes);
+}
+
+TEST(SupervisedSimulator, BooksSuccessfulAttemptsAndMergesAsExecStages) {
+  // Supervised days book the engine's stage families the way
+  // ShardedDayRunner does: one simulated shard and one shard-sim span per
+  // successful attempt, one merge span per shard. Failed attempts stay out
+  // of the latency histogram.
+  TaskFaultConfig fc;
+  fc.seed = 0xFA04;
+  fc.throw_rate = 0.2;
+  fc.io_error_rate = 0.2;
+  fc.max_faulty_attempts = 2;
+  const TaskFaultInjector injector{fc};
+  SupervisorOptions opt = fast_options(2);
+  opt.injector = &injector;
+  StudySupervisor sup{opt};
+
+  obs::MetricsRegistry registry;
+  {
+    obs::ScopedGlobalRegistry install{&registry};
+    (void)run_supervised(sup);
+  }
+  const obs::MetricsSnapshot snap = registry.scrape();
+
+  const auto& summary = sup.summary();
+  const std::uint64_t failed = summary.transient_failures + summary.permanent_failures;
+  ASSERT_GT(failed, 0u) << "the storm must fail some attempts";
+  ASSERT_TRUE(summary.quarantine.items.empty());
+  // Without quarantine, every shard of every day succeeds exactly once.
+  const std::uint64_t shard_days =
+      sup.shard_count(SupWorld::instance().sim->population().size()) * summary.days;
+  EXPECT_EQ(summary.shard_attempts - failed, shard_days);
+
+  const auto* simulated = snap.find_counter("tl_exec_shards_simulated_total");
+  const auto* sim = snap.find_histogram("tl_exec_shard_sim_seconds");
+  const auto* merge = snap.find_histogram("tl_exec_shard_merge_seconds");
+  ASSERT_NE(simulated, nullptr);
+  ASSERT_NE(sim, nullptr);
+  ASSERT_NE(merge, nullptr);
+  EXPECT_EQ(simulated->value, shard_days);
+  EXPECT_EQ(sim->count, shard_days);
+  EXPECT_EQ(merge->count, shard_days);
 }
 
 // --- kill/resume under a supervised fault storm ------------------------------
