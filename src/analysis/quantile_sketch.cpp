@@ -1,10 +1,11 @@
 #include "analysis/quantile_sketch.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+
+#include "util/byte_codec.hpp"
 
 namespace tl::analysis {
 namespace {
@@ -16,46 +17,13 @@ constexpr char kSerialMagic[4] = {'T', 'L', 'Q', 'S'};
 constexpr std::uint32_t kMaxLevels = 64;
 constexpr std::uint32_t kMaxK = 1u << 20;
 
-void put_u32(std::vector<std::uint8_t>& v, std::uint32_t x) {
-  for (int i = 0; i < 4; ++i) v.push_back(static_cast<std::uint8_t>(x >> (8 * i)));
-}
-void put_u64(std::vector<std::uint8_t>& v, std::uint64_t x) {
-  for (int i = 0; i < 8; ++i) v.push_back(static_cast<std::uint8_t>(x >> (8 * i)));
-}
-void put_f64(std::vector<std::uint8_t>& v, double x) {
-  put_u64(v, std::bit_cast<std::uint64_t>(x));
-}
+constexpr const char* kMalformed = "QuantileSketch::deserialize: malformed input";
 
-struct Reader {
-  std::span<const std::uint8_t> bytes;
-  std::size_t pos;
+[[noreturn]] void corrupt() { throw std::runtime_error{kMalformed}; }
 
-  [[noreturn]] static void corrupt() {
-    throw std::runtime_error{"QuantileSketch::deserialize: malformed input"};
-  }
-  void need(std::size_t n) const {
-    if (pos + n > bytes.size()) corrupt();
-  }
-  std::uint8_t u8() {
-    need(1);
-    return bytes[pos++];
-  }
-  std::uint32_t u32() {
-    need(4);
-    std::uint32_t x = 0;
-    for (int i = 0; i < 4; ++i) x |= static_cast<std::uint32_t>(bytes[pos + i]) << (8 * i);
-    pos += 4;
-    return x;
-  }
-  std::uint64_t u64() {
-    need(8);
-    std::uint64_t x = 0;
-    for (int i = 0; i < 8; ++i) x |= static_cast<std::uint64_t>(bytes[pos + i]) << (8 * i);
-    pos += 8;
-    return x;
-  }
-  double f64() { return std::bit_cast<double>(u64()); }
-};
+using util::put_f64;
+using util::put_u32;
+using util::put_u64;
 
 }  // namespace
 
@@ -290,14 +258,14 @@ void QuantileSketch::serialize(std::vector<std::uint8_t>& out) const {
 
 QuantileSketch QuantileSketch::deserialize(std::span<const std::uint8_t> bytes,
                                            std::size_t& offset) {
-  Reader r{bytes, offset};
+  util::ByteReader r{bytes, offset, kMalformed};
   r.need(sizeof kSerialMagic + 1);
   for (const char c : kSerialMagic) {
-    if (r.u8() != static_cast<std::uint8_t>(c)) Reader::corrupt();
+    if (r.u8() != static_cast<std::uint8_t>(c)) corrupt();
   }
-  if (r.u8() != kSerialVersion) Reader::corrupt();
+  if (r.u8() != kSerialVersion) corrupt();
   const std::uint32_t k = r.u32();
-  if (k < 4 || (k % 2) != 0 || k > kMaxK) Reader::corrupt();
+  if (k < 4 || (k % 2) != 0 || k > kMaxK) corrupt();
   QuantileSketch sketch{k};
   sketch.count_ = r.u64();
   sketch.nan_count_ = r.u64();
@@ -305,44 +273,44 @@ QuantileSketch QuantileSketch::deserialize(std::span<const std::uint8_t> bytes,
   sketch.max_ = r.f64();
   sketch.sum_ = r.f64();
   const std::uint32_t base_size = r.u32();
-  if (base_size >= k) Reader::corrupt();
+  if (base_size >= k) corrupt();
   sketch.base_.reserve(k);
   for (std::uint32_t i = 0; i < base_size; ++i) {
     const double v = r.f64();
-    if (std::isnan(v)) Reader::corrupt();
+    if (std::isnan(v)) corrupt();
     sketch.base_.push_back(v);
   }
   const std::uint32_t level_count = r.u32();
-  if (level_count > kMaxLevels) Reader::corrupt();
+  if (level_count > kMaxLevels) corrupt();
   std::uint64_t weighted = base_size;
   sketch.levels_.resize(level_count);
   for (std::uint32_t level = 0; level < level_count; ++level) {
     Level& slot = sketch.levels_[level];
     const std::uint8_t occupied = r.u8();
-    if (occupied > 1) Reader::corrupt();
+    if (occupied > 1) corrupt();
     slot.parity = r.u8();
-    if (slot.parity > 1) Reader::corrupt();
+    if (slot.parity > 1) corrupt();
     slot.error = r.u64();
     if (occupied) {
       slot.items.reserve(k);
       double prev = -std::numeric_limits<double>::infinity();
       for (std::uint32_t i = 0; i < k; ++i) {
         const double v = r.f64();
-        if (std::isnan(v) || v < prev) Reader::corrupt();  // buffers are sorted
+        if (std::isnan(v) || v < prev) corrupt();  // buffers are sorted
         slot.items.push_back(v);
         prev = v;
       }
       weighted += (std::uint64_t{1} << level) * k;
     } else if (slot.error != 0) {
-      Reader::corrupt();
+      corrupt();
     }
   }
   // Collapses conserve weighted item count exactly; a mismatch means the
   // payload does not describe a sketch this code could have produced.
-  if (weighted != sketch.count_) Reader::corrupt();
+  if (weighted != sketch.count_) corrupt();
   if (sketch.count_ > 0 &&
       (std::isnan(sketch.min_) || std::isnan(sketch.max_) || sketch.min_ > sketch.max_)) {
-    Reader::corrupt();
+    corrupt();
   }
   offset = r.pos;
   return sketch;
@@ -351,7 +319,7 @@ QuantileSketch QuantileSketch::deserialize(std::span<const std::uint8_t> bytes,
 QuantileSketch QuantileSketch::deserialize(std::span<const std::uint8_t> bytes) {
   std::size_t offset = 0;
   QuantileSketch sketch = deserialize(bytes, offset);
-  if (offset != bytes.size()) Reader::corrupt();
+  if (offset != bytes.size()) corrupt();
   return sketch;
 }
 

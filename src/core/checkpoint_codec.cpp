@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "util/byte_codec.hpp"
 #include "util/crc32c.hpp"
 
 namespace tl::core {
@@ -14,26 +15,12 @@ constexpr std::uint8_t kMagic[4] = {'T', 'L', 'C', 'P'};
 constexpr std::uint16_t kVersionV1 = 1;
 constexpr std::uint16_t kVersionV2 = 2;
 
-void put_u16(std::vector<std::uint8_t>& v, std::uint16_t x) {
-  v.push_back(static_cast<std::uint8_t>(x));
-  v.push_back(static_cast<std::uint8_t>(x >> 8));
-}
-void put_u32(std::vector<std::uint8_t>& v, std::uint32_t x) {
-  for (int i = 0; i < 4; ++i) v.push_back(static_cast<std::uint8_t>(x >> (8 * i)));
-}
-void put_u64(std::vector<std::uint8_t>& v, std::uint64_t x) {
-  for (int i = 0; i < 8; ++i) v.push_back(static_cast<std::uint8_t>(x >> (8 * i)));
-}
-
-std::uint32_t get_u32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) | (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-std::uint64_t get_u64(const std::uint8_t* p) {
-  return static_cast<std::uint64_t>(get_u32(p)) |
-         (static_cast<std::uint64_t>(get_u32(p + 4)) << 32);
-}
+using util::get_u16;
+using util::get_u32;
+using util::get_u64;
+using util::put_u16;
+using util::put_u32;
+using util::put_u64;
 
 // magic + version + next_day + seed + records + 13 counters per region
 constexpr std::size_t kRegionCounters = 13;
@@ -88,7 +75,7 @@ DayCheckpoint decode_checkpoint(std::span<const std::uint8_t> bytes) {
   if (p[0] != kMagic[0] || p[1] != kMagic[1] || p[2] != kMagic[2] || p[3] != kMagic[3]) {
     throw corrupt();
   }
-  const std::uint16_t version = static_cast<std::uint16_t>(p[4] | (p[5] << 8));
+  const std::uint16_t version = get_u16(p + 4);
   std::uint32_t quarantine_count = 0;
   if (version == kVersionV1) {
     if (bytes.size() != kV1Size) throw corrupt();

@@ -217,21 +217,13 @@ void Simulator::restore(const DayCheckpoint& checkpoint) {
 }
 
 void Simulator::save_checkpoint(const std::string& path) const {
-  // Crash-safe protocol: write the codec bytes (CRC32C trailer included) to
-  // a sibling temp file, fsync, then rename over the target. A crash at any
-  // point leaves either the old checkpoint or the new one — never a torn mix.
-  const std::vector<std::uint8_t> bytes = encode_checkpoint(checkpoint());
-  const std::string tmp = path + ".tmp";
+  // The codec bytes carry their own CRC32C trailer; the atomic write means a
+  // crash leaves either the old checkpoint or the new one, never a torn mix.
   auto& fs = io::StdioFileSystem::instance();
   try {
-    auto file = fs.open(tmp, io::OpenMode::kTruncate);
-    if (file->write(bytes.data(), bytes.size()) != bytes.size()) {
-      throw io::IoError{"short write (device full?)"};
-    }
-    file->sync();
-    file->close();
-    fs.rename(tmp, path);
+    io::write_file_atomic(fs, path, encode_checkpoint(checkpoint()));
   } catch (const io::IoError& error) {
+    const std::string tmp = path + ".tmp";
     if (fs.exists(tmp)) fs.remove(tmp);
     throw std::runtime_error{"save_checkpoint: " + std::string{error.what()} + " on " +
                              path};
@@ -241,21 +233,12 @@ void Simulator::save_checkpoint(const std::string& path) const {
 bool Simulator::load_checkpoint(const std::string& path) {
   auto& fs = io::StdioFileSystem::instance();
   if (!fs.exists(path)) return false;  // no checkpoint yet: start from day 0
-  std::vector<std::uint8_t> bytes;
   DayCheckpoint cp;
   try {
-    auto file = fs.open(path, io::OpenMode::kRead);
-    bytes.resize(file->size());
-    std::size_t have = 0;
-    while (have < bytes.size()) {
-      const std::size_t n = file->read(bytes.data() + have, bytes.size() - have);
-      if (n == 0) throw io::IoError{"short read"};
-      have += n;
-    }
     // The codec's exact-size and CRC checks reject truncation, bit flips,
     // and trailing garbage before any field is parsed, and no simulator
     // state is touched until the whole file has validated.
-    cp = decode_checkpoint(bytes);
+    cp = decode_checkpoint(io::read_file(fs, path));
   } catch (const std::runtime_error&) {  // io::IoError included
     throw std::runtime_error{"load_checkpoint: corrupt checkpoint " + path};
   }

@@ -346,20 +346,10 @@ const std::vector<IoFault>& FaultyFileSystem::fired() const noexcept {
 void inject_bit_rot(FileSystem& fs, const std::string& path,
                     std::uint64_t offset, std::uint8_t mask) {
   if (mask == 0) throw IoError{"inject_bit_rot: zero mask would be a no-op"};
-  const std::uint64_t size = fs.file_size(path);
-  if (offset >= size) {
+  std::vector<std::uint8_t> bytes = read_file(fs, path);
+  if (offset >= bytes.size()) {
     throw IoError{"inject_bit_rot: offset " + std::to_string(offset) +
                   " past end of " + path};
-  }
-  std::vector<std::uint8_t> bytes(size);
-  {
-    auto file = fs.open(path, OpenMode::kRead);
-    std::size_t have = 0;
-    while (have < bytes.size()) {
-      const std::size_t n = file->read(bytes.data() + have, bytes.size() - have);
-      if (n == 0) throw IoError{"inject_bit_rot: short read of " + path};
-      have += n;
-    }
   }
   bytes[offset] ^= mask;
   auto file = fs.open(path, OpenMode::kTruncate);

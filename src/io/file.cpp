@@ -146,6 +146,32 @@ std::vector<std::string> StdioFileSystem::list(const std::string& dir,
   return names;
 }
 
+std::vector<std::uint8_t> read_file(FileSystem& fs, const std::string& path) {
+  std::vector<std::uint8_t> bytes(fs.file_size(path));
+  auto file = fs.open(path, OpenMode::kRead);
+  std::size_t have = 0;
+  while (have < bytes.size()) {
+    const std::size_t n = file->read(bytes.data() + have, bytes.size() - have);
+    if (n == 0) throw IoError{"short read of " + path};
+    have += n;
+  }
+  return bytes;
+}
+
+void write_file_atomic(FileSystem& fs, const std::string& path,
+                       std::span<const std::uint8_t> bytes) {
+  const std::string tmp = path + ".tmp";
+  {
+    auto file = fs.open(tmp, OpenMode::kTruncate);
+    if (file->write(bytes.data(), bytes.size()) != bytes.size()) {
+      throw IoError{"short write (device full?): " + tmp};
+    }
+    file->sync();
+    file->close();
+  }
+  fs.rename(tmp, path);
+}
+
 StdioFileSystem& StdioFileSystem::instance() {
   static StdioFileSystem fs;
   return fs;

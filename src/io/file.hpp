@@ -13,6 +13,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -105,6 +106,17 @@ class FileSystem {
   virtual std::vector<std::string> list(const std::string& dir,
                                         const std::string& prefix) = 0;
 };
+
+/// Reads the whole file at `path` through `fs`. Throws IoError when the file
+/// cannot be opened or ends before its reported size.
+std::vector<std::uint8_t> read_file(FileSystem& fs, const std::string& path);
+
+/// Atomically replaces `path` with `bytes`: writes `<path>.tmp`, fsyncs it,
+/// then renames it over `path`, so a crash leaves the old file or the new
+/// one, never a torn mix. Throws IoError on a short write or any failed
+/// step; the tmp is then left for the caller to remove or sweep.
+void write_file_atomic(FileSystem& fs, const std::string& path,
+                       std::span<const std::uint8_t> bytes);
 
 /// The real filesystem: stdio streams + POSIX fsync + std::filesystem
 /// metadata operations. Stateless; the singleton is shared freely.

@@ -49,19 +49,13 @@ StudyMonitor::Snapshot StudyMonitor::snapshot() {
 
 namespace {
 // Atomic publish: scrape files are read by external collectors, which must
-// never observe a half-written dump. Write to a sibling tmp, fsync, rename
-// over the destination; a crash leaves either the old file or the new one.
+// never observe a half-written dump; a crash leaves either the old file or
+// the new one.
 void write_file(const std::string& path, const std::string& body) {
-  io::FileSystem& fs = io::StdioFileSystem::instance();
-  const std::string tmp = path + ".tmp";
   try {
-    auto file = fs.open(tmp, io::OpenMode::kTruncate);
-    if (file->write(body.data(), body.size()) != body.size()) {
-      throw io::IoError{"short write"};
-    }
-    file->sync();
-    file->close();
-    fs.rename(tmp, path);
+    io::write_file_atomic(
+        io::StdioFileSystem::instance(), path,
+        {reinterpret_cast<const std::uint8_t*>(body.data()), body.size()});
   } catch (const io::IoError& error) {
     throw std::runtime_error{"StudyMonitor: could not write " + path + ": " +
                              error.what()};

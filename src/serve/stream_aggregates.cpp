@@ -5,6 +5,7 @@
 #include <string>
 #include <utility>
 
+#include "util/byte_codec.hpp"
 #include "util/rng.hpp"
 
 namespace tl::serve {
@@ -20,48 +21,12 @@ const char* to_string(DegradeLevel level) noexcept {
 
 namespace {
 
-// Little-endian byte helpers, matching the sketch's serialization idiom.
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v >> 16));
-  out.push_back(static_cast<std::uint8_t>(v >> 24));
+using util::put_u32;
+using util::put_u64;
+
+[[noreturn]] void corrupt(const std::string& why) {
+  throw std::runtime_error{"StreamAggregates::deserialize: " + why};
 }
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  put_u32(out, static_cast<std::uint32_t>(v));
-  put_u32(out, static_cast<std::uint32_t>(v >> 32));
-}
-
-struct Reader {
-  std::span<const std::uint8_t> bytes;
-  std::size_t pos = 0;
-
-  [[noreturn]] static void corrupt(const std::string& why) {
-    throw std::runtime_error{"StreamAggregates::deserialize: " + why};
-  }
-  void need(std::size_t n) const {
-    if (pos + n > bytes.size()) corrupt("truncated input");
-  }
-  std::uint8_t u8() {
-    need(1);
-    return bytes[pos++];
-  }
-  std::uint32_t u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(bytes[pos + static_cast<std::size_t>(i)])
-           << (8 * i);
-    }
-    pos += 4;
-    return v;
-  }
-  std::uint64_t u64() {
-    const std::uint64_t lo = u32();
-    return lo | (static_cast<std::uint64_t>(u32()) << 32);
-  }
-};
 
 constexpr char kMagic[4] = {'T', 'L', 'S', 'A'};
 // v2 added the degradation ladder (per-day level/modulus, event journal).
@@ -78,11 +43,11 @@ void put_tally(std::vector<std::uint8_t>& out,
   put_u64(out, t.failures);
 }
 
-StreamAggregates::Tally read_tally(Reader& r) {
+StreamAggregates::Tally read_tally(util::ByteReader& r) {
   StreamAggregates::Tally t;
   t.handovers = r.u64();
   t.failures = r.u64();
-  if (t.failures > t.handovers) Reader::corrupt("tally failures > handovers");
+  if (t.failures > t.handovers) corrupt("tally failures > handovers");
   return t;
 }
 
@@ -95,16 +60,16 @@ void put_tally_map(std::vector<std::uint8_t>& out,
   }
 }
 
-std::map<std::uint32_t, StreamAggregates::Tally> read_tally_map(Reader& r) {
+std::map<std::uint32_t, StreamAggregates::Tally> read_tally_map(util::ByteReader& r) {
   const std::uint64_t size = r.u64();
   // 20 bytes per entry: a size beyond the remaining bytes is garbage.
-  if (size > (r.bytes.size() - r.pos) / 20) Reader::corrupt("map size");
+  if (size > (r.bytes.size() - r.pos) / 20) corrupt("map size");
   std::map<std::uint32_t, StreamAggregates::Tally> m;
   std::int64_t previous = -1;
   for (std::uint64_t i = 0; i < size; ++i) {
     const std::uint32_t key = r.u32();
     if (static_cast<std::int64_t>(key) <= previous) {
-      Reader::corrupt("map keys not strictly increasing");
+      corrupt("map keys not strictly increasing");
     }
     previous = key;
     m.emplace(key, read_tally(r));
@@ -309,24 +274,24 @@ void put_day(std::vector<std::uint8_t>& out,
   day.durations.serialize(out);
 }
 
-StreamAggregates::DayStats read_day(Reader& r, std::size_t sketch_k) {
+StreamAggregates::DayStats read_day(util::ByteReader& r, std::size_t sketch_k) {
   StreamAggregates::DayStats day(sketch_k);
   day.day = static_cast<std::int32_t>(r.u32());
   day.handovers = r.u64();
   day.failures = r.u64();
-  if (day.failures > day.handovers) Reader::corrupt("day failures > handovers");
+  if (day.failures > day.handovers) corrupt("day failures > handovers");
   const std::uint8_t level = r.u8();
   if (level > static_cast<std::uint8_t>(DegradeLevel::kSampled)) {
-    Reader::corrupt("day degrade level out of range");
+    corrupt("day degrade level out of range");
   }
   day.degrade_level = static_cast<DegradeLevel>(level);
   day.sample_modulus = r.u32();
-  if (day.sample_modulus == 0) Reader::corrupt("day sample modulus zero");
+  if (day.sample_modulus == 0) corrupt("day sample modulus zero");
   for (auto& t : day.by_vendor) t = read_tally(r);
   for (auto& t : day.by_target) t = read_tally(r);
   day.by_district = read_tally_map(r);
   day.durations = analysis::QuantileSketch::deserialize(r.bytes, r.pos);
-  if (day.durations.k() != sketch_k) Reader::corrupt("sketch k mismatch");
+  if (day.durations.k() != sketch_k) corrupt("sketch k mismatch");
   return day;
 }
 
@@ -363,43 +328,44 @@ void StreamAggregates::serialize(std::vector<std::uint8_t>& out) const {
 
 StreamAggregates StreamAggregates::deserialize(
     std::span<const std::uint8_t> bytes, std::size_t& offset) {
-  Reader r{bytes, offset};
+  util::ByteReader r{bytes, offset,
+                     "StreamAggregates::deserialize: truncated input"};
   r.need(sizeof kMagic + 1);
   for (char expected : kMagic) {
     if (r.u8() != static_cast<std::uint8_t>(expected)) {
-      Reader::corrupt("bad magic");
+      corrupt("bad magic");
     }
   }
-  if (r.u8() != kVersion) Reader::corrupt("unsupported version");
+  if (r.u8() != kVersion) corrupt("unsupported version");
   Options options;
   options.window_days = r.u32();
   options.sketch_k = r.u32();
   options.sample_modulus = r.u32();
   if (options.window_days == 0 || options.window_days > (1u << 20)) {
-    Reader::corrupt("window_days out of range");
+    corrupt("window_days out of range");
   }
-  if (options.sample_modulus == 0) Reader::corrupt("sample_modulus zero");
+  if (options.sample_modulus == 0) corrupt("sample_modulus zero");
   StreamAggregates aggs(options);  // validates sketch_k via the open sketch
   aggs.total_records_ = r.u64();
   aggs.total_failures_ = r.u64();
   aggs.days_sealed_ = r.u64();
   aggs.last_sealed_day_ = static_cast<std::int32_t>(r.u32());
   if (aggs.total_failures_ > aggs.total_records_) {
-    Reader::corrupt("total failures > total records");
+    corrupt("total failures > total records");
   }
   const std::uint8_t level = r.u8();
   if (level > static_cast<std::uint8_t>(DegradeLevel::kSampled)) {
-    Reader::corrupt("degrade level out of range");
+    corrupt("degrade level out of range");
   }
   aggs.level_ = static_cast<DegradeLevel>(level);
   aggs.events_dropped_ = r.u64();
   const std::uint32_t event_count = r.u32();
   if (event_count > StreamAggregates::kMaxEvents) {
-    Reader::corrupt("event journal larger than cap");
+    corrupt("event journal larger than cap");
   }
   // 42 bytes per event entry on the wire.
   if (event_count > (r.bytes.size() - r.pos) / 42) {
-    Reader::corrupt("event journal size");
+    corrupt("event journal size");
   }
   std::int64_t previous_event_day = INT64_MIN;
   for (std::uint32_t i = 0; i < event_count; ++i) {
@@ -409,50 +375,50 @@ StreamAggregates StreamAggregates::deserialize(
     const std::uint8_t to = r.u8();
     if (from > static_cast<std::uint8_t>(DegradeLevel::kSampled) ||
         to > static_cast<std::uint8_t>(DegradeLevel::kSampled) || from == to) {
-      Reader::corrupt("event levels invalid");
+      corrupt("event levels invalid");
     }
     event.from = static_cast<DegradeLevel>(from);
     event.to = static_cast<DegradeLevel>(to);
     event.used_bytes = r.u64();
     event.budget_bytes = r.u64();
     event.sample_modulus = r.u32();
-    if (event.sample_modulus == 0) Reader::corrupt("event modulus zero");
+    if (event.sample_modulus == 0) corrupt("event modulus zero");
     event.shed_district_keys = r.u64();
     event.shed_sector_keys = r.u64();
     if (event.effective_day < previous_event_day) {
-      Reader::corrupt("event days not nondecreasing");
+      corrupt("event days not nondecreasing");
     }
     previous_event_day = event.effective_day;
     aggs.events_.push_back(event);
   }
   if (!aggs.events_.empty() && aggs.events_.back().to != aggs.level_) {
-    Reader::corrupt("last event disagrees with instance level");
+    corrupt("last event disagrees with instance level");
   }
   aggs.sectors_ = read_tally_map(r);
   const std::uint32_t ring = r.u32();
-  if (ring > options.window_days) Reader::corrupt("ring larger than window");
+  if (ring > options.window_days) corrupt("ring larger than window");
   int previous_day = -2;
   for (std::uint32_t i = 0; i < ring; ++i) {
     DayStats day = read_day(r, options.sketch_k);
     if (day.day < 0 || day.day <= previous_day) {
-      Reader::corrupt("ring days not strictly increasing");
+      corrupt("ring days not strictly increasing");
     }
     previous_day = day.day;
     aggs.window_.push_back(std::move(day));
   }
   if (!aggs.window_.empty() &&
       aggs.window_.back().day != aggs.last_sealed_day_) {
-    Reader::corrupt("last sealed day disagrees with ring");
+    corrupt("last sealed day disagrees with ring");
   }
   aggs.open_ = read_day(r, options.sketch_k);
-  if (aggs.open_.day != -1) Reader::corrupt("open day carries a day index");
+  if (aggs.open_.day != -1) corrupt("open day carries a day index");
   if (aggs.open_.degrade_level != aggs.level_) {
-    Reader::corrupt("open day level disagrees with instance level");
+    corrupt("open day level disagrees with instance level");
   }
   const std::uint32_t expected_modulus =
       aggs.level_ == DegradeLevel::kSampled ? options.sample_modulus : 1;
   if (aggs.open_.sample_modulus != expected_modulus) {
-    Reader::corrupt("open day modulus disagrees with instance level");
+    corrupt("open day modulus disagrees with instance level");
   }
   offset = r.pos;
   return aggs;

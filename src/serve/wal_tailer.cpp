@@ -1,12 +1,13 @@
 #include "serve/wal_tailer.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
+#include <optional>
 #include <stdexcept>
 
 #include "supervise/status.hpp"
 #include "telemetry/scrub.hpp"
+#include "util/byte_codec.hpp"
 #include "util/crc32c.hpp"
 
 namespace tl::serve {
@@ -23,29 +24,10 @@ constexpr std::size_t kCheckpointOverhead = 8 + 1 + 24 + 8 + 4;
 // v2 ledger: segment count + records/days lost + day range + exact flag.
 constexpr std::size_t kLossLedgerMinBytes = 4 + 8 + 8 + 4 + 4 + 1;
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v >> 16));
-  out.push_back(static_cast<std::uint8_t>(v >> 24));
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  put_u32(out, static_cast<std::uint32_t>(v));
-  put_u32(out, static_cast<std::uint32_t>(v >> 32));
-}
-
-std::uint32_t get_u32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-std::uint64_t get_u64(const std::uint8_t* p) {
-  return static_cast<std::uint64_t>(get_u32(p)) |
-         (static_cast<std::uint64_t>(get_u32(p + 4)) << 32);
-}
+using util::get_u32;
+using util::get_u64;
+using util::put_u32;
+using util::put_u64;
 
 DegradeLevel ladder_for(govern::PressureLevel pressure) noexcept {
   switch (pressure) {
@@ -147,19 +129,9 @@ StreamAggregates::DegradeDecision WalTailer::consult_governor() {
 }
 
 void WalTailer::load_checkpoint(const std::string& path) {
-  const std::uint64_t size = fs_.file_size(path);
-  if (size < kCheckpointOverhead) {
+  const std::vector<std::uint8_t> bytes = io::read_file(fs_, path);
+  if (bytes.size() < kCheckpointOverhead) {
     throw io::IoError{"serve checkpoint truncated: " + path};
-  }
-  std::vector<std::uint8_t> bytes(size);
-  {
-    auto file = fs_.open(path, io::OpenMode::kRead);
-    std::size_t have = 0;
-    while (have < bytes.size()) {
-      const std::size_t n = file->read(bytes.data() + have, bytes.size() - have);
-      if (n == 0) throw io::IoError{"serve checkpoint short read: " + path};
-      have += n;
-    }
   }
   const std::size_t body = bytes.size() - 4;
   const std::uint32_t stored = util::unmask_crc32c(get_u32(bytes.data() + body));
@@ -272,19 +244,10 @@ void WalTailer::checkpoint() {
   }
   put_u32(bytes, util::mask_crc32c(util::crc32c(bytes.data(), bytes.size())));
 
-  // tmp + sync + rename: the rename is the commit point. Any failure or
-  // crash before it leaves the previous checkpoint untouched (open()
-  // sweeps the tmp); after it the new one is complete and CRC-sealed.
-  const std::string tmp = options_.checkpoint_path + ".tmp";
-  {
-    auto file = fs_.open(tmp, io::OpenMode::kTruncate);
-    if (file->write(bytes.data(), bytes.size()) != bytes.size()) {
-      throw io::IoError{"serve checkpoint short write: " + tmp};
-    }
-    file->sync();
-    file->close();
-  }
-  fs_.rename(tmp, options_.checkpoint_path);
+  // The rename is the commit point. Any failure or crash before it leaves
+  // the previous checkpoint untouched (open() sweeps the tmp); after it the
+  // new one is complete and CRC-sealed.
+  io::write_file_atomic(fs_, options_.checkpoint_path, bytes);
 
   durable_cursor_ = cursor_;
   have_checkpoint_ = true;
@@ -467,35 +430,25 @@ std::uint64_t WalTailer::retire_segments() {
   // checkpoint, so every byte at or after its segment must stay. Oldest
   // first, so a crash mid-sweep leaves the chain contiguous.
   if (durable_cursor_.fresh()) return 0;
-  std::uint64_t retired = 0;
-  for (const std::string& name : fs_.list(options_.wal_directory, "wal-")) {
-    std::uint32_t index = 0;
-    if (std::sscanf(name.c_str(), "wal-%9u.tlseg", &index) != 1 ||
-        name != telemetry::RecordLog::segment_name(index)) {
-      continue;  // foreign file under our prefix; leave it alone
+  const auto retire_in = [this](const std::string& directory) {
+    std::uint64_t removed = 0;
+    for (const std::string& name : fs_.list(directory, "wal-")) {
+      const std::optional<std::uint32_t> index =
+          telemetry::RecordLog::parse_segment_name(name);
+      if (!index) continue;  // foreign file under our prefix; leave it alone
+      if (*index >= durable_cursor_.segment) break;  // sorted ascending
+      fs_.remove(directory + "/" + name);
+      ++removed;
     }
-    if (index >= durable_cursor_.segment) break;  // sorted ascending
-    fs_.remove(options_.wal_directory + "/" + name);
-    ++retired;
-  }
+    return removed;
+  };
+  const std::uint64_t retired = retire_in(options_.wal_directory);
   // Mirror lockstep: a replica is needed exactly as long as its primary can
   // still be read (read-repair is segment-for-segment), so the same
   // strictly-behind-the-durable-cursor rule applies. Primaries are removed
   // first, so a crash between the sweeps leaves orphan replicas — which
   // this same rule reclaims on the next pass.
-  if (!options_.mirror_directory.empty() &&
-      fs_.exists(options_.mirror_directory)) {
-    for (const std::string& name :
-         fs_.list(options_.mirror_directory, "wal-")) {
-      std::uint32_t index = 0;
-      if (std::sscanf(name.c_str(), "wal-%9u.tlseg", &index) != 1 ||
-          name != telemetry::RecordLog::segment_name(index)) {
-        continue;
-      }
-      if (index >= durable_cursor_.segment) break;
-      fs_.remove(options_.mirror_directory + "/" + name);
-    }
-  }
+  if (!options_.mirror_directory.empty()) retire_in(options_.mirror_directory);
   obs_segments_retired_.inc(retired);
   return retired;
 }

@@ -9,6 +9,7 @@
 
 #include "obs/scoped_timer.hpp"
 #include "telemetry/scrub.hpp"
+#include "util/byte_codec.hpp"
 #include "util/crc32c.hpp"
 
 namespace tl::telemetry {
@@ -17,31 +18,17 @@ namespace {
 // Frames larger than this are assumed to be garbage lengths read from a torn
 // header, not real payloads (a full bench-scale day is far smaller).
 constexpr std::uint32_t kMaxFrameLen = 1u << 28;
+// Day-marker payload ahead of the app state: day u32, in-day count u64,
+// cumulative total u64, app-state length u32.
+constexpr std::size_t kMarkerFixedSize = 24;
 
-void put_u8(std::vector<std::uint8_t>& v, std::uint8_t x) { v.push_back(x); }
-void put_u16(std::vector<std::uint8_t>& v, std::uint16_t x) {
-  v.push_back(static_cast<std::uint8_t>(x));
-  v.push_back(static_cast<std::uint8_t>(x >> 8));
-}
-void put_u32(std::vector<std::uint8_t>& v, std::uint32_t x) {
-  for (int i = 0; i < 4; ++i) v.push_back(static_cast<std::uint8_t>(x >> (8 * i)));
-}
-void put_u64(std::vector<std::uint8_t>& v, std::uint64_t x) {
-  for (int i = 0; i < 8; ++i) v.push_back(static_cast<std::uint8_t>(x >> (8 * i)));
-}
-
-std::uint16_t get_u16(const std::uint8_t* p) {
-  return static_cast<std::uint16_t>(p[0] | (p[1] << 8));
-}
-std::uint32_t get_u32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) | (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-std::uint64_t get_u64(const std::uint8_t* p) {
-  return static_cast<std::uint64_t>(get_u32(p)) |
-         (static_cast<std::uint64_t>(get_u32(p + 4)) << 32);
-}
+using util::get_u16;
+using util::get_u32;
+using util::get_u64;
+using util::put_u16;
+using util::put_u32;
+using util::put_u64;
+using util::put_u8;
 
 /// Writes `data` in `chunk` slices, treating any short write as a failed
 /// durable write (ENOSPC-style): the commit must not pretend it happened.
@@ -63,16 +50,38 @@ struct VectorSink final : RecordSink {
   void consume(const HandoverRecord& record) override { records.push_back(record); }
 };
 
-/// Recovers the segment index from a file name, accepting only names this
-/// module itself would produce (round-trip check).
-bool parse_segment_index(const std::string& name, std::uint32_t& index) {
-  unsigned value = 0;
-  if (std::sscanf(name.c_str(), "wal-%9u.tlseg", &value) != 1) return false;
-  index = static_cast<std::uint32_t>(value);
-  return name == RecordLog::segment_name(index);
+[[noreturn]] void throw_marker_mismatch(const std::string& path,
+                                       const SegmentStop& stop) {
+  // A CRC-valid marker that breaks the marker rule means a writer bug or
+  // tampering, not a torn tail: fail loudly rather than silently serving a
+  // record stream of unknown shape.
+  throw io::IoError{"record log corrupt: the day marker at offset " +
+                    std::to_string(stop.offset) + " of " + path +
+                    " disagrees with the frames and markers before it"};
 }
 
 }  // namespace
+
+const char* to_string(DefectClass defect) noexcept {
+  switch (defect) {
+    case DefectClass::kBadSegmentHeader: return "bad segment header";
+    case DefectClass::kBadFrameCrc: return "frame CRC mismatch";
+    case DefectClass::kTruncatedFrame: return "truncated frame";
+    case DefectClass::kBadFrameStructure: return "bad frame structure";
+    case DefectClass::kMarkerMismatch: return "marker count mismatch";
+    case DefectClass::kNoSealMarker: return "sealed segment missing its seal marker";
+    case DefectClass::kChainGap: return "segment missing from chain";
+    case DefectClass::kMirrorMissing: return "mirror replica missing";
+    case DefectClass::kMirrorDiverged: return "mirror replica diverged";
+  }
+  return "?";
+}
+
+TailState tail_state_for(DefectClass stop, bool later_segment) noexcept {
+  const bool may_complete =
+      stop == DefectClass::kTruncatedFrame || stop == DefectClass::kNoSealMarker;
+  return may_complete && !later_segment ? TailState::kPending : TailState::kTorn;
+}
 
 const char* to_string(TailState state) noexcept {
   switch (state) {
@@ -102,6 +111,15 @@ std::string RecordLog::segment_name(std::uint32_t index) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "wal-%05u.tlseg", index);
   return buf;
+}
+
+std::optional<std::uint32_t> RecordLog::parse_segment_name(const std::string& name) {
+  unsigned value = 0;
+  if (std::sscanf(name.c_str(), "wal-%9u.tlseg", &value) != 1) return std::nullopt;
+  const auto index = static_cast<std::uint32_t>(value);
+  // Round trip: only names this module itself would produce.
+  if (name != segment_name(index)) return std::nullopt;
+  return index;
 }
 
 std::string RecordLog::segment_path(std::uint32_t index) const {
@@ -200,7 +218,7 @@ void RecordLog::commit_day(int day, std::span<const std::uint8_t> app_state) {
                            std::to_string(last_committed_day_) + ")"};
   }
   std::vector<std::uint8_t> marker;
-  marker.reserve(24 + app_state.size());
+  marker.reserve(kMarkerFixedSize + app_state.size());
   put_u32(marker, static_cast<std::uint32_t>(day));
   put_u64(marker, buffered_records_);
   put_u64(marker, committed_records_ + buffered_records_);
@@ -245,7 +263,7 @@ void RecordLog::discard_day() noexcept {
 void RecordLog::mirror_sealed_segment(std::uint32_t index) {
   if (options_.mirror_directory.empty()) return;
   copy_file_atomic(fs_, segment_path(index),
-                   options_.mirror_directory + "/" + segment_name(index));
+                   options_.mirror_directory + "/" + segment_name(index), index);
 }
 
 void RecordLog::roll_segment() {
@@ -262,14 +280,113 @@ void RecordLog::roll_segment() {
   segment_size_ = kSegmentHeaderSize;
 }
 
+// --- the segment reader ------------------------------------------------------
+
+bool MarkerAnchor::admits(const DayMarker& marker, std::uint64_t records) const noexcept {
+  if (marker.in_day != records || marker.day <= day) return false;
+  return total_known ? marker.total == total + marker.in_day
+                     : marker.total >= total + marker.in_day;
+}
+
+SegmentReader::SegmentReader(io::FileSystem& fs, const std::string& path,
+                             std::uint32_t index, std::uint64_t offset,
+                             MarkerAnchor anchor)
+    : size_(fs.file_size(path)),
+      position_(offset),
+      marker_end_(offset),
+      anchor_(anchor) {
+  file_ = fs.open(path, io::OpenMode::kRead);
+  if (offset > 0) {
+    // Resuming past a consumed marker: the header was checked on the way in.
+    // A segment now shorter than that lost bytes a crash rolled back; only
+    // the writer can regrow them.
+    if (offset > size_) {
+      fail(DefectClass::kTruncatedFrame, size_, 0);
+    } else {
+      file_->seek(offset);
+    }
+    return;
+  }
+  std::uint8_t header[RecordLog::kSegmentHeaderSize];
+  if (size_ < sizeof header || file_->read(header, sizeof header) != sizeof header) {
+    fail(DefectClass::kTruncatedFrame, 0, size_);  // mid-creation, or cut short
+    return;
+  }
+  if (std::memcmp(header, RecordLog::kMagic, sizeof RecordLog::kMagic) != 0 ||
+      get_u32(header + 8) != index ||
+      util::unmask_crc32c(get_u32(header + 12)) != util::crc32c(header, 12)) {
+    fail(DefectClass::kBadSegmentHeader, 0, sizeof header);
+    return;
+  }
+  position_ = marker_end_ = sizeof header;
+}
+
+bool SegmentReader::fail(DefectClass reason, std::uint64_t offset,
+                         std::uint64_t length) {
+  stop_ = SegmentStop{reason, offset, length};
+  return false;
+}
+
+bool SegmentReader::next() {
+  if (stop_) return false;
+  const std::uint64_t at = position_;
+  if (at == size_) {
+    // Days never span segments, so records with no marker after them end
+    // the segment short of a commit.
+    if (records_since_marker_ == 0) return false;
+    return fail(DefectClass::kNoSealMarker, marker_end_, size_ - marker_end_);
+  }
+  std::uint8_t fh[RecordLog::kFrameHeaderSize];
+  if (at + sizeof fh > size_ || file_->read(fh, sizeof fh) != sizeof fh) {
+    return fail(DefectClass::kTruncatedFrame, at, size_ - at);
+  }
+  const std::uint32_t len = get_u32(fh);
+  const std::uint32_t stored_crc = util::unmask_crc32c(get_u32(fh + 4));
+  type_ = fh[8];
+  if (len > kMaxFrameLen) {
+    return fail(DefectClass::kBadFrameStructure, at, sizeof fh);  // can never heal
+  }
+  const std::uint64_t end = at + sizeof fh + len;
+  if (end > size_) return fail(DefectClass::kTruncatedFrame, at, size_ - at);
+  payload_.resize(len);
+  if (file_->read(payload_.data(), len) != len) {
+    return fail(DefectClass::kTruncatedFrame, at, size_ - at);
+  }
+  // A complete frame with a bad CRC is never an in-flight write: the writer
+  // lays every byte down in order, so only a crash or rot explains it.
+  std::uint32_t crc = util::crc32c(&type_, 1);
+  crc = util::crc32c(payload_.data(), len, crc);
+  if (crc != stored_crc) return fail(DefectClass::kBadFrameCrc, at, sizeof fh + len);
+
+  const std::uint8_t* p = payload_.data();
+  if (type_ == RecordLog::kRecordFrame && len == RecordLog::kRecordEncodedSize) {
+    ++records_since_marker_;
+  } else if (type_ == RecordLog::kDayMarkerFrame && len >= kMarkerFixedSize &&
+             len == kMarkerFixedSize + static_cast<std::uint64_t>(get_u32(p + 20))) {
+    marker_.day = static_cast<int>(get_u32(p));
+    marker_.in_day = get_u64(p + 4);
+    marker_.total = get_u64(p + 12);
+    marker_.app_state = {p + kMarkerFixedSize, len - kMarkerFixedSize};
+    if (!anchor_.admits(marker_, records_since_marker_)) {
+      return fail(DefectClass::kMarkerMismatch, at, sizeof fh + len);
+    }
+    anchor_ = MarkerAnchor{marker_.day, marker_.total, true};
+    records_since_marker_ = 0;
+    marker_end_ = end;
+  } else {
+    return fail(DefectClass::kBadFrameStructure, at, sizeof fh + len);
+  }
+  position_ = end;
+  return true;
+}
+
 // --- recovery / replay -------------------------------------------------------
 
-/// Forward scan over the segment chain. Stops at the first invalid byte —
-/// truncated frame, CRC mismatch, bad header, non-contiguous segment — and
-/// reports the position of the last committed day marker before it.
+/// Forward scan over the segment chain, ending the valid prefix at the first
+/// reader stop or non-contiguous segment name; a marker-rule violation
+/// throws instead. Reports the position of the last committed day marker.
 struct RecordLog::Scan {
   std::vector<std::string> segments;  // listing at scan time, sorted
-  std::vector<std::uint64_t> sizes;   // parallel to `segments`
   std::uint32_t base = 0;             // index of the first listed segment
   bool first_header_valid = false;
   bool any_marker = false;
@@ -288,112 +405,50 @@ RecordLog::Scan RecordLog::scan(io::FileSystem& fs, const std::string& directory
   // Retention may have deleted a committed prefix of the chain: the first
   // listed name fixes the base index everything else must be contiguous
   // with. An unparseable first name means nothing in the listing is ours.
-  if (!s.segments.empty() && !parse_segment_index(s.segments[0], s.base)) {
-    s.base = 0;
-  }
-  std::uint64_t records_seen = 0;        // record frames since log start
-  // With a pruned chain the records before `base` are gone; the cumulative
-  // count in the first marker is adopted rather than verified. A chain from
-  // index 0 has nothing before it, so its first marker is fully verified.
-  bool have_total = s.base == 0;
-  std::uint64_t records_since_marker = 0;
-  std::vector<HandoverRecord> pending;   // decoded records of the open day
+  if (!s.segments.empty()) s.base = parse_segment_name(s.segments[0]).value_or(0);
+  // With a pruned chain the records before `base` are gone, so the first
+  // marker's cumulative total is adopted; a chain from index 0 has nothing
+  // before it, so its first marker is fully verified.
+  MarkerAnchor anchor;
+  anchor.total_known = s.base == 0;
+  std::vector<HandoverRecord> pending;  // decoded records of the open day
 
-  bool torn = false;
-  for (std::size_t si = 0; si < s.segments.size() && !torn; ++si) {
-    const std::string path = directory + "/" + s.segments[si];
-    s.sizes.push_back(fs.file_size(path));
+  for (std::size_t si = 0; si < s.segments.size(); ++si) {
     const std::uint32_t seg_index = s.base + static_cast<std::uint32_t>(si);
     // The chain must be contiguous wal-<base>, wal-<base+1>, ...; anything
     // else (a gap, a stray file) ends the valid prefix.
-    if (s.segments[si] != segment_name(seg_index)) {
-      torn = true;
-      break;
+    if (s.segments[si] != segment_name(seg_index)) break;
+    const std::string path = directory + "/" + s.segments[si];
+    SegmentReader reader{fs, path, seg_index, 0, anchor};
+    if (si == 0) s.first_header_valid = reader.header_valid();
+    pending.clear();
+    while (reader.next()) {
+      if (!reader.is_marker()) {
+        if (sink != nullptr) pending.push_back(decode_record(reader.payload()));
+        continue;
+      }
+      const DayMarker& marker = reader.marker();
+      s.any_marker = true;
+      s.marker_seg = si;
+      s.marker_offset = reader.position();
+      s.last_day = marker.day;
+      s.committed_records = marker.total;
+      s.app_state.assign(marker.app_state.begin(), marker.app_state.end());
+      if (sink != nullptr) {
+        for (const auto& r : pending) sink->consume(r);
+        pending.clear();
+        sink->on_day_end(marker.day);
+      }
     }
-    auto file = fs.open(path, io::OpenMode::kRead);
-    const std::uint64_t size = s.sizes[si];
-
-    std::uint8_t header[kSegmentHeaderSize];
-    if (file->read(header, sizeof header) != sizeof header ||
-        std::memcmp(header, kMagic, sizeof kMagic) != 0 ||
-        get_u32(header + 8) != seg_index ||
-        util::unmask_crc32c(get_u32(header + 12)) != util::crc32c(header, 12)) {
-      torn = true;  // torn/foreign header: this and all later segments drop
-      break;
+    s.dropped_records = reader.records_since_marker();
+    if (const std::optional<SegmentStop>& stop = reader.stop()) {
+      if (stop->reason == DefectClass::kMarkerMismatch) {
+        throw_marker_mismatch(path, *stop);
+      }
+      break;  // this and all later bytes are past the valid prefix
     }
-    if (si == 0) s.first_header_valid = true;
-
-    std::uint64_t offset = kSegmentHeaderSize;
-    std::vector<std::uint8_t> buf;
-    while (offset < size) {
-      std::uint8_t fh[kFrameHeaderSize];
-      if (offset + kFrameHeaderSize > size ||
-          file->read(fh, sizeof fh) != sizeof fh) {
-        torn = true;
-        break;
-      }
-      const std::uint32_t len = get_u32(fh);
-      const std::uint32_t stored_crc = util::unmask_crc32c(get_u32(fh + 4));
-      const std::uint8_t type = fh[8];
-      if (len > kMaxFrameLen || offset + kFrameHeaderSize + len > size) {
-        torn = true;
-        break;
-      }
-      buf.resize(len);
-      if (file->read(buf.data(), len) != len) {
-        torn = true;
-        break;
-      }
-      std::uint32_t crc = util::crc32c(&type, 1);
-      crc = util::crc32c(buf.data(), len, crc);
-      if (crc != stored_crc) {
-        torn = true;
-        break;
-      }
-      if (type == kRecordFrame && len == kRecordEncodedSize) {
-        ++records_seen;
-        ++records_since_marker;
-        if (sink != nullptr) pending.push_back(decode_record(buf));
-      } else if (type == kDayMarkerFrame && len >= 24 &&
-                 len == 24 + static_cast<std::uint64_t>(get_u32(buf.data() + 20))) {
-        const int day = static_cast<int>(get_u32(buf.data()));
-        const std::uint64_t in_day = get_u64(buf.data() + 4);
-        const std::uint64_t total = get_u64(buf.data() + 12);
-        if (in_day != records_since_marker ||
-            (have_total && total != records_seen)) {
-          // A CRC-valid marker whose counts disagree with the frames on disk
-          // means a writer bug or tampering, not a torn tail: fail loudly
-          // rather than silently serving a record stream of unknown shape.
-          throw io::IoError{"record log corrupt: marker record counts disagree "
-                            "with the frames preceding it (" +
-                            path + ")"};
-        }
-        if (!have_total) {
-          // First marker of a retention-pruned chain: adopt the cumulative
-          // count (the frames it counts were deleted); verify from here on.
-          records_seen = total;
-          have_total = true;
-        }
-        s.any_marker = true;
-        s.marker_seg = si;
-        s.marker_offset = offset + kFrameHeaderSize + len;
-        s.last_day = day;
-        s.committed_records = total;
-        s.app_state.assign(buf.begin() + 24, buf.end());
-        records_since_marker = 0;
-        if (sink != nullptr) {
-          for (const auto& r : pending) sink->consume(r);
-          pending.clear();
-          sink->on_day_end(day);
-        }
-      } else {
-        torn = true;  // unknown frame type or malformed marker structure
-        break;
-      }
-      offset += kFrameHeaderSize + len;
-    }
+    anchor = reader.anchor();
   }
-  s.dropped_records = records_since_marker;
   return s;
 }
 
@@ -429,21 +484,19 @@ LogRecoveryReport RecordLog::open() {
   report.dropped_records = s.dropped_records;
   report.app_state = s.app_state;
 
-  std::uint64_t bytes_before = 0;
-  for (std::size_t i = 0; i < s.sizes.size(); ++i) bytes_before += s.sizes[i];
-  // Unlisted trailing sizes (segments after a name-contiguity break) were
-  // never measured; measure them now so dropped_bytes is complete.
-  for (std::size_t i = s.sizes.size(); i < s.segments.size(); ++i) {
-    bytes_before += fs_.file_size(options_.directory + "/" + s.segments[i]);
-  }
-
   // Discard everything past the last committed marker: truncate the marker's
   // segment and delete every later file in the listing.
   const std::size_t keep_seg = s.any_marker ? s.marker_seg : 0;
+  std::uint64_t bytes_before = 0;
+  std::uint64_t bytes_after = 0;
+  for (std::size_t i = 0; i < s.segments.size(); ++i) {
+    const std::uint64_t size = fs_.file_size(options_.directory + "/" + s.segments[i]);
+    bytes_before += size;
+    if (i < keep_seg) bytes_after += size;
+  }
   for (std::size_t i = s.segments.size(); i-- > keep_seg + 1;) {
     fs_.remove(options_.directory + "/" + s.segments[i]);
   }
-  std::uint64_t bytes_after = 0;
   if (s.any_marker || s.first_header_valid) {
     const std::uint64_t keep =
         s.any_marker ? s.marker_offset : static_cast<std::uint64_t>(kSegmentHeaderSize);
@@ -451,7 +504,6 @@ LogRecoveryReport RecordLog::open() {
     segment_index_ = s.base + static_cast<std::uint32_t>(keep_seg);
     segment_size_ = keep;
     current_ = fs_.open(segment_path(segment_index_), io::OpenMode::kAppend);
-    for (std::size_t i = 0; i < keep_seg; ++i) bytes_after += s.sizes[i];
     bytes_after += keep;
   } else {
     // Nothing usable (fresh directory, or segment 0's header itself is
@@ -502,33 +554,33 @@ TailReadResult RecordLog::follow(io::FileSystem& fs, const std::string& director
 TailReadResult RecordLog::follow(io::FileSystem& fs, const std::string& directory,
                                  LogCursor& cursor, RecordSink& sink,
                                  const FollowOptions& options) {
-  const std::uint64_t max_days = options.max_days;
   const auto is_quarantined = [&options](std::uint32_t segment) {
     return std::binary_search(options.quarantined.begin(),
                               options.quarantined.end(), segment);
   };
   // True between skipping a quarantined segment and the next delivered
-  // marker: that marker's cumulative total is adopted (with a plausibility
-  // floor) instead of verified, and the gap it reveals is accounted.
+  // marker: that marker's cumulative total is adopted (the hole's total
+  // only bounds it below) instead of verified, and the gap it reveals is
+  // accounted.
   bool pending_adopt = false;
   TailReadResult result;
   const std::vector<std::string> names = fs.list(directory, "wal-");
   if (names.empty()) return result;  // no log yet: caught up by definition
-  std::uint32_t base = 0;
-  if (!parse_segment_index(names[0], base)) {
+  const std::optional<std::uint32_t> base = parse_segment_name(names[0]);
+  if (!base) {
     result.state = TailState::kTorn;  // nothing in the listing is ours
     return result;
   }
   if (cursor.fresh()) {
-    cursor.segment = base;  // start wherever retention left the chain
-  } else if (cursor.segment < base) {
+    cursor.segment = *base;  // start wherever retention left the chain
+  } else if (cursor.segment < *base) {
     throw io::IoError{"record log tail: cursor segment " +
                       segment_name(cursor.segment) +
                       " was deleted from under the reader (" + directory + ")"};
   }
   // Cumulative counts are verifiable once the cursor has consumed a marker;
   // a fresh cursor on a pruned chain adopts the first marker's total.
-  bool have_total = cursor.day >= 0 || base == 0;
+  bool have_total = cursor.day >= 0 || *base == 0;
 
   // Scan position. The durable cursor itself only ever advances past a
   // consumed day marker (below) — never into a segment with nothing
@@ -537,6 +589,10 @@ TailReadResult RecordLog::follow(io::FileSystem& fs, const std::string& director
   // writer's recovery without a day high-water mark.
   std::uint32_t seg = cursor.segment;
   std::uint64_t pos = cursor.offset;
+  const auto later_segment = [&] {
+    return fs.exists(directory + "/" + segment_name(seg + 1));
+  };
+  std::vector<HandoverRecord> pending;  // records of the not-yet-marked day
 
   while (true) {
     if (is_quarantined(seg)) {
@@ -547,7 +603,7 @@ TailReadResult RecordLog::follow(io::FileSystem& fs, const std::string& director
       // day boundary — no partial day can leak out of it.
       result.quarantine_skipped = true;
       pending_adopt = true;
-      if (!fs.exists(directory + "/" + segment_name(seg + 1))) {
+      if (!later_segment()) {
         result.state = TailState::kQuarantined;  // hole reaches the end
         return result;
       }
@@ -560,169 +616,65 @@ TailReadResult RecordLog::follow(io::FileSystem& fs, const std::string& director
       if (cursor.fresh()) return result;  // chain raced away; nothing to do
       throw io::IoError{"record log tail: cursor segment missing: " + path};
     }
-    const std::uint64_t size = fs.file_size(path);
-    auto file = fs.open(path, io::OpenMode::kRead);
-    if (pos == 0) {
-      // First entry into this segment: validate its header before trusting
-      // any frame in it.
-      if (size < kSegmentHeaderSize) {
-        // Shorter than a header: the writer is mid-creation — unless a
-        // successor segment exists. Segments are header-first and rolls are
-        // commit-aligned, so a short segment mid-chain can never grow (a
-        // crash at segment creation under ENOSPC leaves exactly this);
-        // report it torn so the reader does not wait on it forever.
-        result.state = fs.exists(directory + "/" + segment_name(seg + 1))
-                           ? TailState::kTorn
-                           : TailState::kPending;
+    SegmentReader reader{fs, path, seg, pos,
+                         MarkerAnchor{cursor.day, cursor.records,
+                                      have_total && !pending_adopt}};
+    pending.clear();
+    while (reader.next()) {
+      if (!reader.is_marker()) {
+        pending.push_back(decode_record(reader.payload()));
+        continue;
+      }
+      const DayMarker& marker = reader.marker();
+      if (result.days_delivered == options.max_days) {
+        result.state = TailState::kMore;  // committed data remains; re-poll
         return result;
       }
-      std::uint8_t header[kSegmentHeaderSize];
-      if (file->read(header, sizeof header) != sizeof header ||
-          std::memcmp(header, kMagic, sizeof kMagic) != 0 ||
-          get_u32(header + 8) != seg ||
-          util::unmask_crc32c(get_u32(header + 12)) != util::crc32c(header, 12)) {
-        result.state = TailState::kTorn;
-        return result;
-      }
-      pos = kSegmentHeaderSize;
-    } else {
-      if (pos > size) {
-        // A crash rolled back bytes the writer had not fsynced past a point
-        // we read optimistically. The deterministic writer will regenerate
-        // the identical bytes; wait for the tail to regrow.
-        result.state = TailState::kPending;
-        return result;
-      }
-      file->seek(pos);
-    }
-
-    std::uint64_t offset = pos;
-    std::vector<HandoverRecord> pending;  // records of the not-yet-marked day
-    std::vector<std::uint8_t> buf;
-    while (offset < size) {
-      // A frame running past end-of-file is a write still in flight — but
-      // only in the newest segment. Sealed segments never grow (rolls are
-      // commit-aligned), so the same truncation mid-chain is damage (e.g.
-      // rot in a length field) that waiting can never heal.
-      const auto truncated = [&] {
-        return fs.exists(directory + "/" + segment_name(seg + 1))
-                   ? TailState::kTorn
-                   : TailState::kPending;
-      };
-      std::uint8_t fh[kFrameHeaderSize];
-      if (offset + kFrameHeaderSize > size ||
-          file->read(fh, sizeof fh) != sizeof fh) {
-        result.state = truncated();
-        return result;
-      }
-      const std::uint32_t len = get_u32(fh);
-      const std::uint32_t stored_crc = util::unmask_crc32c(get_u32(fh + 4));
-      const std::uint8_t type = fh[8];
-      if (len > kMaxFrameLen) {
-        result.state = TailState::kTorn;  // garbage length can never heal
-        return result;
-      }
-      if (offset + kFrameHeaderSize + len > size) {
-        result.state = truncated();
-        return result;
-      }
-      buf.resize(len);
-      if (file->read(buf.data(), len) != len) {
-        result.state = truncated();
-        return result;
-      }
-      std::uint32_t crc = util::crc32c(&type, 1);
-      crc = util::crc32c(buf.data(), len, crc);
-      if (crc != stored_crc) {
-        // A complete frame with a bad CRC is not an in-flight write — the
-        // writer lays every byte down in order, so this can only be a torn
-        // tail from a crash (or rot). Never deliverable.
-        result.state = TailState::kTorn;
-        return result;
-      }
-      if (type == kRecordFrame && len == kRecordEncodedSize) {
-        pending.push_back(decode_record(buf));
-      } else if (type == kDayMarkerFrame && len >= 24 &&
-                 len == 24 + static_cast<std::uint64_t>(get_u32(buf.data() + 20))) {
-        const int day = static_cast<int>(get_u32(buf.data()));
-        const std::uint64_t in_day = get_u64(buf.data() + 4);
-        const std::uint64_t total = get_u64(buf.data() + 12);
-        if (day <= cursor.day) {
-          throw io::IoError{"record log corrupt: non-monotonic day marker in " +
-                            path};
+      // Commit point for the reader: deliver the whole day, then advance
+      // the cursor past the marker — records and cursor move in lockstep,
+      // so an exception anywhere above leaves both at the previous day.
+      for (const HandoverRecord& r : pending) sink.consume(r);
+      sink.on_day_end(marker.day);
+      pending.clear();
+      if (pending_adopt) {
+        // First surviving marker past a quarantined hole: its cumulative
+        // total quantifies exactly what the hole swallowed. Committed
+        // together with the cursor advance, so a re-poll that skips the
+        // same hole never double-counts.
+        if (have_total) {
+          result.records_quarantined += marker.total - marker.in_day - cursor.records;
+        } else {
+          result.quarantine_exact = false;  // pruned-chain base anchor gone
         }
-        if (in_day != pending.size() ||
-            (!pending_adopt && have_total && total != cursor.records + in_day)) {
-          throw io::IoError{"record log corrupt: marker record counts disagree "
-                            "with the frames preceding it (" +
-                            path + ")"};
-        }
-        if (pending_adopt && have_total && total < cursor.records + in_day) {
-          // Even across a hole the chain can only have grown: a total below
-          // what the cursor already consumed is corruption, not loss.
-          throw io::IoError{"record log corrupt: marker total ran backwards "
-                            "across a quarantined range (" +
-                            path + ")"};
-        }
-        if (result.days_delivered == max_days) {
-          result.state = TailState::kMore;  // committed data remains; re-poll
-          return result;
-        }
-        // Commit point for the reader: deliver the whole day, then advance
-        // the cursor past the marker — records and cursor move in lockstep,
-        // so an exception anywhere above leaves both at the previous day.
-        for (const HandoverRecord& r : pending) sink.consume(r);
-        sink.on_day_end(day);
-        pending.clear();
-        if (pending_adopt) {
-          // First surviving marker past a quarantined hole: its cumulative
-          // total quantifies exactly what the hole swallowed. Committed
-          // together with the cursor advance, so a re-poll that skips the
-          // same hole never double-counts.
-          if (have_total) {
-            result.records_quarantined += total - in_day - cursor.records;
-          } else {
-            result.quarantine_exact = false;  // pruned-chain base anchor gone
+        if (cursor.day >= 0) {
+          result.days_quarantined +=
+              static_cast<std::uint64_t>(marker.day - cursor.day - 1);
+          if (result.quarantine_first_day < 0) {
+            result.quarantine_first_day = cursor.day + 1;
           }
-          if (cursor.day >= 0) {
-            result.days_quarantined +=
-                static_cast<std::uint64_t>(day - cursor.day - 1);
-            if (result.quarantine_first_day < 0) {
-              result.quarantine_first_day = cursor.day + 1;
-            }
-            result.quarantine_last_day = day - 1;
-          } else {
-            result.quarantine_exact = false;  // first lost day unknowable
-          }
-          pending_adopt = false;
+          result.quarantine_last_day = marker.day - 1;
+        } else {
+          result.quarantine_exact = false;  // first lost day unknowable
         }
-        cursor.day = day;
-        cursor.records = total;
-        cursor.segment = seg;
-        cursor.offset = offset + kFrameHeaderSize + len;
-        have_total = true;
-        ++result.days_delivered;
-        result.records_delivered += in_day;
-        result.last_app_state.assign(buf.begin() + 24, buf.end());
-      } else {
-        result.state = TailState::kTorn;  // foreign frame type / bad marker
-        return result;
+        pending_adopt = false;
       }
-      offset += kFrameHeaderSize + len;
+      cursor.day = marker.day;
+      cursor.records = marker.total;
+      cursor.segment = seg;
+      cursor.offset = reader.position();
+      have_total = true;
+      ++result.days_delivered;
+      result.records_delivered += marker.in_day;
+      result.last_app_state.assign(marker.app_state.begin(), marker.app_state.end());
     }
-
-    if (!pending.empty()) {
-      // Record frames with no marker at the end of the segment: an in-flight
-      // (or crashed) commit. Days never span segments — rolls are
-      // commit-aligned — so a successor segment here would be structural
-      // corruption, not a pending write.
-      result.state = fs.exists(directory + "/" + segment_name(seg + 1))
-                         ? TailState::kTorn
-                         : TailState::kPending;
+    if (const std::optional<SegmentStop>& stop = reader.stop()) {
+      if (stop->reason == DefectClass::kMarkerMismatch) {
+        throw_marker_mismatch(path, *stop);
+      }
+      result.state = tail_state_for(stop->reason, later_segment());
       return result;
     }
-    const std::string next = directory + "/" + segment_name(seg + 1);
-    if (!fs.exists(next)) {
+    if (!later_segment()) {
       // Caught up with the writer. A clean catch-up that skipped certified
       // holes is reported as such: complete where it counts, degraded where
       // it was certified to be.
@@ -730,7 +682,7 @@ TailReadResult RecordLog::follow(io::FileSystem& fs, const std::string& director
       return result;
     }
     seg += 1;
-    pos = 0;  // validate the new header at the top of the loop
+    pos = 0;  // the next reader checks the new header first
   }
 }
 

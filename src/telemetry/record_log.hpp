@@ -26,6 +26,10 @@
 //    pending tail bytes (an in-flight commit that may yet complete) apart
 //    from torn ones (provably invalid; only the writer's recovery may
 //    truncate them). The serve-mode WalTailer is built on this.
+//  - One read path: recovery, replay, tail-follow and the scrubber's audit
+//    (telemetry/scrub.hpp) all decode segments through SegmentReader and
+//    judge day markers by MarkerAnchor's one rule; they differ only in
+//    what a stop means.
 //
 // Retention: the chain may start at any index (segments before a durable
 // consumer cursor can be deleted); recovery and replay accept a contiguous
@@ -38,6 +42,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -125,6 +130,31 @@ struct TailReadResult {
   int quarantine_last_day = -1;
 };
 
+/// Why a segment reader stopped before a clean end of its segment. The
+/// scrubber reports the same classes as latent defects.
+enum class DefectClass : std::uint8_t {
+  kBadSegmentHeader = 0,  ///< magic/index/CRC of the 16-byte header invalid
+  kBadFrameCrc,           ///< complete frame whose payload CRC32C mismatches
+  kTruncatedFrame,        ///< segment header, frame header or payload runs
+                          ///< past end of file
+  kBadFrameStructure,     ///< foreign frame type or malformed marker payload
+  kMarkerMismatch,        ///< CRC-valid marker breaking the marker rule
+  kNoSealMarker,          ///< segment does not end at a day marker (its
+                          ///< last day is unmarked, or it has none)
+  kChainGap,              ///< expected segment file missing entirely
+  kMirrorMissing,         ///< sealed primary has no mirror replica
+  kMirrorDiverged,        ///< mirror bytes differ from a clean primary
+};
+
+const char* to_string(DefectClass defect) noexcept;
+
+/// The tail rule shared by follow() and the scrubber's tail_state: a stop
+/// that later bytes may still complete (a truncated frame, a short header,
+/// a day with no marker yet) is pending while no later segment exists.
+/// Rolls are commit-aligned, so a sealed segment never grows: there, and
+/// for every other stop, the bytes are torn.
+TailState tail_state_for(DefectClass stop, bool later_segment) noexcept;
+
 class RecordLog {
  public:
   struct Options {
@@ -154,7 +184,10 @@ class RecordLog {
 
   /// Recovers the on-disk state (creating the directory and first segment
   /// if absent) and arms the writer. Must be called before append/commit;
-  /// call again to re-arm after an IoError aborted a commit.
+  /// call again to re-arm after an IoError aborted a commit. Throws
+  /// io::IoError when a CRC-valid day marker breaks the marker rule (counts
+  /// disagreeing with the frames, a day that does not ascend): that is a
+  /// writer bug or tampering, not a torn tail to truncate.
   LogRecoveryReport open();
   bool is_open() const noexcept { return open_; }
   /// Report of the most recent open().
@@ -184,7 +217,8 @@ class RecordLog {
   /// calling sink.on_day_end() at each day marker — a recovered log replays
   /// into the analysis entry points exactly like a live run. Returns the
   /// number of records delivered. Uncommitted tail data is ignored (not
-  /// modified; use open() to truncate it).
+  /// modified; use open() to truncate it). Like open(), throws io::IoError
+  /// on a CRC-valid marker that breaks the marker rule.
   static std::uint64_t replay(io::FileSystem& fs, const std::string& directory,
                               RecordSink& sink);
 
@@ -237,6 +271,9 @@ class RecordLog {
   /// Throws std::runtime_error on a malformed payload.
   static HandoverRecord decode_record(std::span<const std::uint8_t> payload);
   static std::string segment_name(std::uint32_t index);
+  /// Inverse of segment_name(): the index of a name this module would
+  /// produce, or nothing for any other file.
+  static std::optional<std::uint32_t> parse_segment_name(const std::string& name);
 
  private:
   struct Scan;
@@ -285,6 +322,86 @@ class RecordLog {
   obs::Counter obs_dropped_bytes_;
   obs::Counter obs_dropped_records_;
   obs::Histogram obs_commit_seconds_;
+};
+
+/// One decoded day-commit marker. `app_state` views the reader's frame
+/// buffer and is valid until its next frame.
+struct DayMarker {
+  int day = -1;
+  std::uint64_t in_day = 0;  ///< record frames committed with this day
+  std::uint64_t total = 0;   ///< cumulative records through this day
+  std::span<const std::uint8_t> app_state;
+};
+
+/// What a reader knows of the marker before its next one: the previous
+/// day, and the previous cumulative total if the chain behind it is whole.
+struct MarkerAnchor {
+  int day = -1;
+  std::uint64_t total = 0;
+  /// False on a retention-pruned chain before its first marker, or across
+  /// a quarantined hole: the total then only bounds the next one below.
+  bool total_known = false;
+
+  /// The one day-marker rule. `records` counts the record frames read
+  /// since the anchor. The in-day count must equal them, the day must be
+  /// strictly above the anchor's, and the total must be the anchor's plus
+  /// the in-day count (at least that when the anchor's total is unknown).
+  bool admits(const DayMarker& marker, std::uint64_t records) const noexcept;
+};
+
+/// Where and why a SegmentReader stopped.
+struct SegmentStop {
+  DefectClass reason = DefectClass::kBadFrameCrc;
+  std::uint64_t offset = 0;  ///< first suspect byte
+  std::uint64_t length = 0;  ///< suspect range
+};
+
+/// The WAL's one decoder: reads one segment file front to back, a frame at
+/// a time. From offset 0 it first checks the segment header (magic, index,
+/// CRC); a caller resuming past a marker it already consumed passes that
+/// offset instead. Each frame is length-guarded, bounds-checked and
+/// CRC-verified; a marker is decoded once and must pass `anchor`'s rule,
+/// after which it becomes the anchor. At the first bad byte, or at the end
+/// of a segment whose last day has no marker, the reader stops and reports
+/// where and why (stop()); what a stop means is the caller's business.
+class SegmentReader {
+ public:
+  /// Throws io::IoError when the file cannot be opened or sized.
+  SegmentReader(io::FileSystem& fs, const std::string& path, std::uint32_t index,
+                std::uint64_t offset = 0, MarkerAnchor anchor = {});
+
+  /// Reads the next frame. False at the clean end of the segment or at a
+  /// stop.
+  bool next();
+
+  bool is_marker() const noexcept { return type_ == RecordLog::kDayMarkerFrame; }
+  /// The current frame's payload (a record for record frames).
+  std::span<const std::uint8_t> payload() const noexcept { return payload_; }
+  /// The current frame's marker; valid when is_marker().
+  const DayMarker& marker() const noexcept { return marker_; }
+
+  std::uint64_t size() const noexcept { return size_; }
+  /// Offset just past the last frame read: the verified prefix. Stays 0
+  /// while the segment header has not checked out.
+  std::uint64_t position() const noexcept { return position_; }
+  bool header_valid() const noexcept { return position_ > 0; }
+  std::uint64_t records_since_marker() const noexcept { return records_since_marker_; }
+  const MarkerAnchor& anchor() const noexcept { return anchor_; }
+  const std::optional<SegmentStop>& stop() const noexcept { return stop_; }
+
+ private:
+  bool fail(DefectClass reason, std::uint64_t offset, std::uint64_t length);
+
+  std::unique_ptr<io::File> file_;
+  std::uint64_t size_ = 0;
+  std::uint64_t position_ = 0;
+  std::uint64_t marker_end_ = 0;  // offset just past the newest marker
+  std::uint64_t records_since_marker_ = 0;
+  std::uint8_t type_ = 0;
+  std::vector<std::uint8_t> payload_;
+  DayMarker marker_;
+  MarkerAnchor anchor_;
+  std::optional<SegmentStop> stop_;
 };
 
 /// RecordSink adapter: buffers each simulated day into a RecordLog and

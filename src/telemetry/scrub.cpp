@@ -1,47 +1,11 @@
 #include "telemetry/scrub.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstring>
 
 #include "util/crc32c.hpp"
 
 namespace tl::telemetry {
 namespace {
-
-// Mirrors record_log.cpp's garbage-length guard: a frame longer than this is
-// a rotted length field, not a payload.
-constexpr std::uint32_t kMaxFrameLen = 1u << 28;
-
-std::uint32_t get_u32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) | (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-std::uint64_t get_u64(const std::uint8_t* p) {
-  return static_cast<std::uint64_t>(get_u32(p)) |
-         (static_cast<std::uint64_t>(get_u32(p + 4)) << 32);
-}
-
-bool parse_segment_index(const std::string& name, std::uint32_t& index) {
-  unsigned value = 0;
-  if (std::sscanf(name.c_str(), "wal-%9u.tlseg", &value) != 1) return false;
-  index = static_cast<std::uint32_t>(value);
-  return name == RecordLog::segment_name(index);
-}
-
-std::vector<std::uint8_t> read_file(io::FileSystem& fs, const std::string& path) {
-  const std::uint64_t size = fs.file_size(path);
-  std::vector<std::uint8_t> bytes(size);
-  auto file = fs.open(path, io::OpenMode::kRead);
-  std::size_t have = 0;
-  while (have < bytes.size()) {
-    const std::size_t n = file->read(bytes.data() + have, bytes.size() - have);
-    if (n == 0) throw io::IoError{"scrub: short read of " + path};
-    have += n;
-  }
-  return bytes;
-}
 
 std::string seg_path(const std::string& dir, std::uint32_t index) {
   return dir + "/" + RecordLog::segment_name(index);
@@ -53,9 +17,7 @@ SegmentDefect defect_from(const SegmentAudit& a, bool in_mirror,
   SegmentDefect d;
   d.segment = a.index;
   d.in_mirror = in_mirror;
-  if (!a.exists) {
-    d.defect = DefectClass::kChainGap;
-  } else if (!a.header_valid) {
+  if (a.exists && !a.header_valid) {
     d.defect = DefectClass::kBadSegmentHeader;
     d.length = std::min<std::uint64_t>(a.size, RecordLog::kSegmentHeaderSize);
   } else if (a.has_defect) {
@@ -63,9 +25,9 @@ SegmentDefect defect_from(const SegmentAudit& a, bool in_mirror,
     d.offset = a.defect_offset;
     d.length = a.defect_length;
   } else {
-    // Fully CRC-valid but not commit-terminated: a sealed segment must end
-    // at a day marker (rolls are commit-aligned), so truncation ate its
-    // tail without leaving an invalid byte.
+    // Fully CRC-valid but holding no day marker: a sealed segment must end
+    // at one (rolls are commit-aligned), so truncation ate its frames
+    // without leaving an invalid byte.
     d.defect = DefectClass::kNoSealMarker;
     d.offset = a.valid_bytes;
   }
@@ -74,21 +36,6 @@ SegmentDefect defect_from(const SegmentAudit& a, bool in_mirror,
 }
 
 }  // namespace
-
-const char* to_string(DefectClass defect) noexcept {
-  switch (defect) {
-    case DefectClass::kBadSegmentHeader: return "bad segment header";
-    case DefectClass::kBadFrameCrc: return "frame CRC mismatch";
-    case DefectClass::kTruncatedFrame: return "truncated frame";
-    case DefectClass::kBadFrameStructure: return "bad frame structure";
-    case DefectClass::kMarkerMismatch: return "marker count mismatch";
-    case DefectClass::kNoSealMarker: return "sealed segment missing its seal marker";
-    case DefectClass::kChainGap: return "segment missing from chain";
-    case DefectClass::kMirrorMissing: return "mirror replica missing";
-    case DefectClass::kMirrorDiverged: return "mirror replica diverged";
-  }
-  return "?";
-}
 
 const char* to_string(RepairAction action) noexcept {
   switch (action) {
@@ -103,89 +50,37 @@ SegmentAudit audit_segment(io::FileSystem& fs, const std::string& path,
                            std::uint32_t expect_index) {
   SegmentAudit a;
   a.index = expect_index;
-  if (!fs.exists(path)) return a;
-  a.exists = true;
-  const std::vector<std::uint8_t> bytes = read_file(fs, path);
-  a.size = bytes.size();
-
-  if (bytes.size() < RecordLog::kSegmentHeaderSize ||
-      std::memcmp(bytes.data(), RecordLog::kMagic, sizeof RecordLog::kMagic) != 0 ||
-      get_u32(bytes.data() + 8) != expect_index ||
-      util::unmask_crc32c(get_u32(bytes.data() + 12)) !=
-          util::crc32c(bytes.data(), 12)) {
-    return a;  // header_valid stays false; nothing after it is trustworthy
-  }
-  a.header_valid = true;
-  a.valid_bytes = RecordLog::kSegmentHeaderSize;
-
-  std::uint64_t offset = RecordLog::kSegmentHeaderSize;
-  std::uint64_t records_since_marker = 0;
-  auto fail = [&](DefectClass defect, std::uint64_t at, std::uint64_t len) {
+  if (!fs.exists(path)) {
     a.has_defect = true;
-    a.defect = defect;
-    a.defect_offset = at;
-    a.defect_length = len;
-  };
-  while (offset < bytes.size() && !a.has_defect) {
-    if (offset + RecordLog::kFrameHeaderSize > bytes.size()) {
-      fail(DefectClass::kTruncatedFrame, offset, bytes.size() - offset);
-      break;
-    }
-    const std::uint8_t* fh = bytes.data() + offset;
-    const std::uint32_t len = get_u32(fh);
-    const std::uint32_t stored_crc = util::unmask_crc32c(get_u32(fh + 4));
-    const std::uint8_t type = fh[8];
-    if (len > kMaxFrameLen) {
-      fail(DefectClass::kBadFrameStructure, offset, RecordLog::kFrameHeaderSize);
-      break;
-    }
-    if (offset + RecordLog::kFrameHeaderSize + len > bytes.size()) {
-      fail(DefectClass::kTruncatedFrame, offset, bytes.size() - offset);
-      break;
-    }
-    const std::uint8_t* payload = fh + RecordLog::kFrameHeaderSize;
-    std::uint32_t crc = util::crc32c(&type, 1);
-    crc = util::crc32c(payload, len, crc);
-    if (crc != stored_crc) {
-      fail(DefectClass::kBadFrameCrc, offset, RecordLog::kFrameHeaderSize + len);
-      break;
-    }
+    a.defect = DefectClass::kChainGap;
+    return a;
+  }
+  a.exists = true;
+  SegmentReader reader{fs, path, expect_index};
+  a.size = reader.size();
+  a.header_valid = reader.header_valid();
+  while (reader.next()) {
     ++a.frames;
-    a.ends_at_marker = false;
-    if (type == RecordLog::kRecordFrame && len == RecordLog::kRecordEncodedSize) {
+    if (!reader.is_marker()) {
       ++a.records;
-      ++records_since_marker;
-    } else if (type == RecordLog::kDayMarkerFrame && len >= 24 &&
-               len == 24 + static_cast<std::uint64_t>(get_u32(payload + 20))) {
-      const int day = static_cast<int>(get_u32(payload));
-      const std::uint64_t in_day = get_u64(payload + 4);
-      const std::uint64_t total = get_u64(payload + 12);
-      // Within one segment the marker arithmetic is fully checkable: each
-      // day's count must match the frames since the previous marker, each
-      // total must advance by exactly that count, and days must ascend.
-      if (in_day != records_since_marker ||
-          (a.markers > 0 && (total != a.last_total + in_day || day <= a.last_day))) {
-        fail(DefectClass::kMarkerMismatch, offset,
-             RecordLog::kFrameHeaderSize + len);
-        break;
-      }
-      if (a.markers == 0) {
-        a.first_day = day;
-        a.first_in_day = in_day;
-        a.first_total = total;
-      }
-      ++a.markers;
-      a.last_day = day;
-      a.last_total = total;
-      a.ends_at_marker = true;
-      records_since_marker = 0;
-    } else {
-      fail(DefectClass::kBadFrameStructure, offset,
-           RecordLog::kFrameHeaderSize + len);
-      break;
+      continue;
     }
-    offset += RecordLog::kFrameHeaderSize + len;
-    a.valid_bytes = offset;
+    const DayMarker& marker = reader.marker();
+    if (a.markers++ == 0) {
+      a.first_day = marker.day;
+      a.first_in_day = marker.in_day;
+      a.first_total = marker.total;
+    }
+    a.last_day = marker.day;
+    a.last_total = marker.total;
+  }
+  a.valid_bytes = reader.position();
+  a.ends_at_marker = a.markers > 0 && reader.records_since_marker() == 0;
+  if (const std::optional<SegmentStop>& stop = reader.stop()) {
+    a.has_defect = true;
+    a.defect = stop->reason;
+    a.defect_offset = stop->offset;
+    a.defect_length = stop->length;
   }
   return a;
 }
@@ -202,10 +97,10 @@ ScrubReport LogScrubber::run() {
   const std::vector<std::string> names = fs_.list(options_.directory, "wal-");
   std::uint32_t lo = UINT32_MAX, hi = 0;
   for (const std::string& name : names) {
-    std::uint32_t index = 0;
-    if (!parse_segment_index(name, index)) continue;  // foreign file
-    lo = std::min(lo, index);
-    hi = std::max(hi, index);
+    const std::optional<std::uint32_t> index = RecordLog::parse_segment_name(name);
+    if (!index) continue;  // foreign file
+    lo = std::min(lo, *index);
+    hi = std::max(hi, *index);
   }
   if (lo == UINT32_MAX) return report;  // empty chain: vacuously clean
   report.base = lo;
@@ -235,11 +130,13 @@ ScrubReport LogScrubber::run() {
             defect_from(a, false, seg_path(options_.directory, index)));
       } else if (!report.audits.empty() && report.audits.back().clean_sealed()) {
         // Cross-segment chain arithmetic: this segment's first marker must
-        // continue the previous clean segment's cumulative total (both are
-        // absolute counts, so this holds even on a retention-pruned chain).
+        // pass the marker rule anchored on the previous clean segment's last
+        // one (both totals are absolute counts, so this holds even on a
+        // retention-pruned chain).
         const SegmentAudit& prev = report.audits.back();
-        if (a.first_total - a.first_in_day != prev.last_total ||
-            a.first_day <= prev.last_day) {
+        const MarkerAnchor anchor{prev.last_day, prev.last_total, true};
+        if (!anchor.admits(DayMarker{a.first_day, a.first_in_day, a.first_total, {}},
+                           a.first_in_day)) {
           SegmentDefect d;
           d.segment = index;
           d.defect = DefectClass::kMarkerMismatch;
@@ -249,26 +146,10 @@ ScrubReport LogScrubber::run() {
         }
       }
     } else {
-      // The active tail: the writer owns its irregularities. Classify like
-      // follow() would — short/truncated growth is pending, anything
-      // provably invalid is torn.
+      // The active tail: the writer owns its irregularities, which follow()'s
+      // tail rule sorts into pending and torn.
       report.tail_suspect_bytes = a.size - a.valid_bytes;
-      if (!a.exists) {
-        report.tail_state = TailState::kTorn;  // gap at the chain's end
-      } else if (!a.header_valid) {
-        report.tail_state = a.size < RecordLog::kSegmentHeaderSize
-                                ? TailState::kPending
-                                : TailState::kTorn;
-        report.tail_suspect_bytes = a.size;
-      } else if (a.has_defect) {
-        report.tail_state = a.defect == DefectClass::kTruncatedFrame
-                                ? TailState::kPending
-                                : TailState::kTorn;
-      } else if (a.valid_bytes == a.size && !a.ends_at_marker && a.frames > 0) {
-        report.tail_state = TailState::kPending;  // day mid-commit
-      } else {
-        report.tail_state = TailState::kClean;
-      }
+      if (a.has_defect) report.tail_state = tail_state_for(a.defect, false);
     }
     report.audits.push_back(std::move(a));
 
@@ -392,7 +273,7 @@ IntegrityReport LogIntegrity::check_and_repair() {
         event.segment = index;
         event.first_day = p.first_day;
         event.last_day = p.last_day;
-        event.crc32c = copy_file_atomic(fs_, primary_path, mirror_path);
+        event.crc32c = copy_file_atomic(fs_, primary_path, mirror_path, index);
         event.detail = m->exists ? "mirror diverged/damaged" : "mirror missing";
         report.events.push_back(std::move(event));
         obs_repair_mirror_.inc();
@@ -405,7 +286,7 @@ IntegrityReport LogIntegrity::check_and_repair() {
       event.segment = index;
       event.first_day = m->first_day;
       event.last_day = m->last_day;
-      event.crc32c = copy_file_atomic(fs_, mirror_path, primary_path);
+      event.crc32c = copy_file_atomic(fs_, mirror_path, primary_path, index);
       event.detail =
           std::string{"primary "} + to_string(defect_from(p, false, {}).defect);
       report.events.push_back(std::move(event));
@@ -496,14 +377,13 @@ IntegrityReport LogIntegrity::check_and_repair() {
 }
 
 std::uint32_t file_crc32c(io::FileSystem& fs, const std::string& path) {
-  const std::vector<std::uint8_t> bytes = read_file(fs, path);
+  const std::vector<std::uint8_t> bytes = io::read_file(fs, path);
   return util::crc32c(bytes.data(), bytes.size());
 }
 
 std::uint32_t copy_file_atomic(io::FileSystem& fs, const std::string& src,
-                               const std::string& dst) {
-  const std::vector<std::uint8_t> bytes = read_file(fs, src);
-  const std::uint32_t want = util::crc32c(bytes.data(), bytes.size());
+                               const std::string& dst, std::uint32_t index) {
+  const std::vector<std::uint8_t> bytes = io::read_file(fs, src);
   const std::string tmp = dst + ".tmp";
   {
     auto file = fs.open(tmp, io::OpenMode::kTruncate);
@@ -513,15 +393,15 @@ std::uint32_t copy_file_atomic(io::FileSystem& fs, const std::string& src,
     file->sync();
     file->close();
   }
-  fs.rename(tmp, dst);
-  // Trust nothing: the repair is only a repair if the bytes now on disk
-  // hash back to the source. (Also catches a transient read fault having
-  // forged the source bytes we copied.)
-  const std::uint32_t got = file_crc32c(fs, dst);
-  if (got != want) {
+  // Trust nothing: the copy is only a repair if the bytes now on disk audit
+  // clean. Hashing them against the bytes we read would not do — a bit
+  // flipped while reading `src` is in both.
+  if (!audit_segment(fs, tmp, index).clean_sealed()) {
+    fs.remove(tmp);
     throw io::IoError{"segment copy verification failed: " + dst};
   }
-  return got;
+  fs.rename(tmp, dst);
+  return util::crc32c(bytes.data(), bytes.size());
 }
 
 }  // namespace tl::telemetry

@@ -8,9 +8,10 @@
 // fsynced, and possibly sealed months ago. Three layers:
 //
 //  - Detection (LogScrubber): walks every segment of a chain (and its
-//    mirror) frame by frame, re-verifying each CRC32C, the marker
-//    bookkeeping against the chain's cumulative totals, and the chain's
-//    structural invariants (contiguous indices, commit-aligned seals).
+//    mirror) frame by frame through the same SegmentReader recovery and
+//    tail-follow use, re-verifying each CRC32C, the marker rule against the
+//    chain's cumulative totals, and the chain's structural invariants
+//    (contiguous indices, commit-aligned seals).
 //    Produces a ScrubReport of latent defects by class and byte range.
 //    Unlike recovery's scan it does not stop at the first bad byte — every
 //    segment is audited so repair can plan the whole chain at once.
@@ -18,7 +19,7 @@
 //  - Redundancy + repair (LogIntegrity): with RecordLog's opt-in
 //    mirror_directory every sealed segment has a CRC-verified replica.
 //    check_and_repair() restores a damaged sealed primary from a clean
-//    mirror (tmp + fsync + rename, read back and CRC-verified) and a
+//    mirror (tmp + fsync, audited clean, then renamed) and a
 //    missing/damaged mirror from a clean primary, journaling a RepairEvent
 //    per action. The active tail segment belongs to the writer and is
 //    never touched.
@@ -45,21 +46,6 @@
 
 namespace tl::telemetry {
 
-/// What kind of latent damage an audit found.
-enum class DefectClass : std::uint8_t {
-  kBadSegmentHeader = 0,  ///< magic/index/CRC of the 16-byte header invalid
-  kBadFrameCrc,           ///< complete frame whose payload CRC32C mismatches
-  kTruncatedFrame,        ///< frame header/payload runs past end of file
-  kBadFrameStructure,     ///< foreign frame type or malformed marker payload
-  kMarkerMismatch,        ///< CRC-valid marker whose counts disagree
-  kNoSealMarker,          ///< sealed segment not ending at a day marker
-  kChainGap,              ///< expected segment file missing entirely
-  kMirrorMissing,         ///< sealed primary has no mirror replica
-  kMirrorDiverged,        ///< mirror bytes differ from a clean primary
-};
-
-const char* to_string(DefectClass defect) noexcept;
-
 /// One latent defect, pinned to a byte range of one copy of one segment.
 struct SegmentDefect {
   std::uint32_t segment = 0;
@@ -71,7 +57,8 @@ struct SegmentDefect {
 };
 
 /// Full audit of one segment file: the valid frame prefix, marker anchors
-/// for chain accounting, and the first defect (if any). A sealed segment is
+/// for chain accounting, and the first defect (if any): where the segment
+/// reader stopped, or kChainGap for a missing file. A sealed segment is
 /// `clean` only when every byte is CRC-covered and it ends at a day marker.
 struct SegmentAudit {
   std::uint32_t index = 0;
@@ -99,8 +86,10 @@ struct SegmentAudit {
   }
 };
 
-/// Re-reads one segment file and verifies every byte it can. `expect_index`
-/// is the index the chain position demands (header must agree).
+/// Re-reads one segment file through SegmentReader and verifies every byte
+/// it can. `expect_index` is the index the chain position demands (header
+/// must agree). The marker rule runs with no anchor before the segment's
+/// first marker; LogScrubber checks that seam across segments.
 SegmentAudit audit_segment(io::FileSystem& fs, const std::string& path,
                            std::uint32_t expect_index);
 
@@ -225,11 +214,12 @@ class LogIntegrity {
 /// CRC32C over the whole file at `path` (byte-identity oracle helper).
 std::uint32_t file_crc32c(io::FileSystem& fs, const std::string& path);
 
-/// Atomically replaces `dst` with the bytes of `src`: copy into dst.tmp,
-/// fsync, rename, then read `dst` back and verify its CRC32C equals the
-/// source bytes' — a repair that did not stick must not report success.
-/// Returns that CRC.
+/// Atomically replaces `dst` with the bytes of sealed segment `index` at
+/// `src`: copy into dst.tmp, fsync, audit the tmp, rename. The tmp must audit
+/// as a clean sealed segment before it may replace anything — a bit flipped
+/// while reading `src` must not be recorded as a repair; otherwise the tmp
+/// is removed and io::IoError thrown. Returns the copy's CRC32C.
 std::uint32_t copy_file_atomic(io::FileSystem& fs, const std::string& src,
-                               const std::string& dst);
+                               const std::string& dst, std::uint32_t index);
 
 }  // namespace tl::telemetry

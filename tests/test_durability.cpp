@@ -22,6 +22,7 @@
 #include "metrics_log.hpp"
 #include "telemetry/aggregates.hpp"
 #include "telemetry/record_log.hpp"
+#include "telemetry/scrub.hpp"
 #include "telemetry/signaling_dataset.hpp"
 #include "telemetry/sinks.hpp"
 #include "util/crc32c.hpp"
@@ -573,6 +574,77 @@ TEST(RecordLogTest, FullyCorruptFirstSegmentRecoversToEmptyLog) {
   log.append(make_record(0, 0));
   log.commit_day(0, {});
   EXPECT_EQ(RecordLog::read_all(real, tmp.path).size(), 1u);
+}
+
+/// A CRC-valid day-marker frame with no app state, as the writer frames one.
+std::vector<std::uint8_t> marker_frame(int day, std::uint64_t in_day,
+                                       std::uint64_t total) {
+  const auto put = [](std::vector<std::uint8_t>& out, std::uint64_t v, int n) {
+    for (int i = 0; i < n; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  };
+  std::vector<std::uint8_t> payload;
+  put(payload, static_cast<std::uint32_t>(day), 4);
+  put(payload, in_day, 8);
+  put(payload, total, 8);
+  put(payload, 0, 4);  // app state length
+  const std::uint8_t type = RecordLog::kDayMarkerFrame;
+  std::uint32_t crc = util::crc32c(&type, 1);
+  crc = util::crc32c(payload.data(), payload.size(), crc);
+  std::vector<std::uint8_t> frame;
+  put(frame, payload.size(), 4);
+  put(frame, util::mask_crc32c(crc), 4);
+  frame.push_back(type);
+  frame.insert(frame.end(), payload.begin(), payload.end());
+  return frame;
+}
+
+TEST(RecordLogTest, RegressingDayMarkerIsCorruptionForRecoveryAndReplay) {
+  TempDir tmp{"log_day_regress"};
+  auto& real = io::StdioFileSystem::instance();
+  RecordLog::Options opt;
+  opt.directory = tmp.path;  // default (large) segments: one file
+  {
+    RecordLog log{real, opt};
+    log.open();
+    for (int day = 0; day < 2; ++day) {
+      for (std::uint32_t i = 0; i < 4; ++i) log.append(make_record(day, i));
+      log.commit_day(day, {});
+    }
+  }
+  // CRC-valid markers for day 1 again and then day 0: their counts and
+  // totals agree with the frames, only the days run backwards.
+  const std::string seg0 = tmp.path + "/" + RecordLog::segment_name(0);
+  auto bytes = slurp(seg0);
+  for (const int day : {1, 0}) {
+    const auto frame = marker_frame(day, 0, 8);
+    bytes.insert(bytes.end(), frame.begin(), frame.end());
+  }
+  spit(seg0, bytes);
+
+  struct DaySink final : telemetry::RecordSink {
+    std::vector<int> days;
+    void consume(const HandoverRecord&) override {}
+    void on_day_end(int day) override { days.push_back(day); }
+  };
+  // Replay delivers the days before the regression, then refuses it.
+  DaySink replayed;
+  EXPECT_THROW(RecordLog::replay(real, tmp.path, replayed), io::IoError);
+  EXPECT_EQ(replayed.days, (std::vector<int>{0, 1}));
+
+  // Recovery refuses it too, rather than adopting day 0 as the last commit
+  // and letting the writer commit day 1 a second time.
+  RecordLog log{real, opt};
+  EXPECT_THROW(log.open(), io::IoError);
+  EXPECT_FALSE(log.is_open());
+  EXPECT_EQ(slurp(seg0), bytes);  // nothing truncated
+
+  // The same verdict as tail-follow and the scrubber's audit.
+  telemetry::LogCursor cursor;
+  DaySink followed;
+  EXPECT_THROW(RecordLog::follow(real, tmp.path, cursor, followed), io::IoError);
+  const telemetry::SegmentAudit audit = telemetry::audit_segment(real, seg0, 0);
+  ASSERT_TRUE(audit.has_defect);
+  EXPECT_EQ(audit.defect, telemetry::DefectClass::kMarkerMismatch);
 }
 
 // --- binary checkpoint codec -------------------------------------------------

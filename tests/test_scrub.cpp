@@ -46,6 +46,7 @@ using telemetry::LogIntegrity;
 using telemetry::LogScrubber;
 using telemetry::RecordLog;
 using telemetry::RepairAction;
+using telemetry::ScrubOptions;
 using telemetry::ScrubReport;
 using telemetry::SegmentAudit;
 using telemetry::TailReadResult;
@@ -485,6 +486,81 @@ TEST(Repair, WriterOpenRepairsRotBeforeRecovery) {
   EXPECT_EQ(crc_of(victim), want);
   commit_days(log, 5, 1);
   EXPECT_EQ(log.committed_records(), 6u * kPerDay);
+}
+
+TEST(Repair, BitFlipWhileCopyingIsNeverRecordedAsRepaired) {
+  TempDir tmp{"repair_read_flip"};
+  auto& real = io::StdioFileSystem::instance();
+  const std::string gold = tmp.path + "/gold";
+  {
+    RecordLog::Options opt;
+    opt.directory = gold + "/wal";
+    opt.mirror_directory = gold + "/mirror";
+    opt.max_segment_bytes = 8 * 1024;
+    opt.write_chunk_bytes = 512;
+    RecordLog log{real, opt};
+    log.open();
+    for (int day = 0; day < 6; ++day) {
+      for (std::uint32_t i = 0; i < 100; ++i) log.append(make_record(day, i));
+      log.commit_day(day, {});
+    }
+  }
+  const auto gold_primaries = chain_crcs(gold + "/wal");
+  const auto gold_mirrors = chain_crcs(gold + "/mirror");
+  ASSERT_GE(gold_mirrors.size(), 2u);
+  const std::string root = tmp.path + "/run";
+  const ScrubOptions scrub{root + "/wal", root + "/mirror"};
+  // Latent rot in sealed primary 1; its mirror replica is clean.
+  const auto reset = [&] {
+    stdfs::remove_all(root);
+    copy_wal(gold + "/wal", root + "/wal");
+    copy_wal(gold + "/mirror", root + "/mirror");
+    io::inject_bit_rot(real, root + "/wal/" + RecordLog::segment_name(1), 100, 0x40);
+  };
+
+  // Read ops of the detection pass alone, and of the whole repair pass: the
+  // ops in between are the repair's own reads (the copy's source read, its
+  // verification, the replica comparisons).
+  reset();
+  io::FaultyFileSystem detect{real, io::IoFaultPlan{}, 0};
+  LogScrubber{detect, scrub}.run();
+  io::FaultyFileSystem dry{real, io::IoFaultPlan{}, 0};
+  LogIntegrity{dry, scrub}.check_and_repair();
+  ASSERT_GT(dry.read_ops(), detect.read_ops());
+
+  int aborted = 0;
+  for (std::uint64_t op = detect.read_ops(); op < dry.read_ops(); ++op) {
+    SCOPED_TRACE("bit flip at read op " + std::to_string(op));
+    reset();
+    io::FaultyFileSystem ffs{real, io::IoFaultPlan{}, op};
+    io::IoFaultPlan reads;
+    reads.add(op, io::IoFaultKind::kBitRot);
+    ffs.set_read_fault_plan(reads);
+    std::vector<telemetry::RepairEvent> events;
+    try {
+      events = LogIntegrity{ffs, scrub}.check_and_repair().events;
+    } catch (const io::IoError&) {
+      ++aborted;  // a copy that failed its audit: nothing may be recorded
+    }
+    bool primary_restored = false;
+    for (const telemetry::RepairEvent& e : events) {
+      ASSERT_NE(e.action, RepairAction::kQuarantined);
+      ASSERT_LT(e.segment, gold_mirrors.size());
+      EXPECT_EQ(e.crc32c, gold_mirrors[e.segment].second);
+      if (e.action == RepairAction::kPrimaryRestored) primary_restored = true;
+    }
+    // A recorded repair stuck: the next scrub finds nothing.
+    if (primary_restored) {
+      EXPECT_TRUE(LogScrubber(real, scrub).run().clean());
+      EXPECT_EQ(chain_crcs(root + "/wal"), gold_primaries);
+    }
+    // The clean replica is never overwritten with unchecked bytes, and a
+    // failed copy leaves no tmp behind.
+    EXPECT_EQ(chain_crcs(root + "/mirror"), gold_mirrors);
+    EXPECT_FALSE(stdfs::exists(root + "/wal/" + RecordLog::segment_name(1) + ".tmp"));
+  }
+  // The sweep reached the copy: some flips had to be caught by its audit.
+  EXPECT_GT(aborted, 0);
 }
 
 // --- certified quarantine ----------------------------------------------------
