@@ -234,15 +234,15 @@ StormMeasurement storm_run(tl::core::Simulator& sim, unsigned threads,
   const supervise::TaskFaultInjector injector{storm};
 
   supervise::SupervisorOptions opt;
-  opt.threads = threads;
-  opt.backoff_initial_ms = 1;
-  opt.backoff_cap_ms = 4;
+  opt.retry.backoff_initial_ms = 1;
+  opt.retry.backoff_cap_ms = 4;
   if (fault_rate > 0.0) opt.injector = &injector;
   supervise::StudySupervisor supervisor{opt};
 
   ChecksumSink sink;
   core::DayCheckpoint day0;
   day0.seed = seed;
+  sim.set_threads(threads);
   sim.restore(day0);
   sim.set_supervisor(&supervisor);
   sim.add_sink(&sink);

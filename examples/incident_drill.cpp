@@ -111,7 +111,7 @@ int main(int argc, char** argv) {
   storm_cfg.slow_ms = 2;
   const supervise::TaskFaultInjector injector{storm_cfg};
   supervise::SupervisorOptions sup_opt;
-  sup_opt.shard_deadline_ms = 10'000;
+  sup_opt.retry.attempt_deadline_ms = 10'000;
   sup_opt.injector = &injector;
   supervise::StudySupervisor supervisor{sup_opt};
   if (storm) sim.set_supervisor(&supervisor);

@@ -119,8 +119,7 @@ int main(int argc, char** argv) {
   std::unique_ptr<supervise::StudySupervisor> supervisor;
   if (supervised) {
     supervise::SupervisorOptions sup_opt;
-    sup_opt.threads = config.threads;
-    sup_opt.shard_deadline_ms = 10'000;
+    sup_opt.retry.attempt_deadline_ms = 10'000;
     if (fault_rate > 0.0) sup_opt.injector = &injector;
     supervisor = std::make_unique<supervise::StudySupervisor>(sup_opt);
     sim.set_supervisor(supervisor.get());

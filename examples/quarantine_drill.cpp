@@ -69,13 +69,13 @@ int main(int argc, char** argv) {
   core::StudyConfig config = core::StudyConfig::test_scale();
   double poison_fraction = 0.002;
   double storm_rate = 0.12;
-  unsigned threads = 0;
+  config.threads = 0;  // all hardware threads unless --threads says otherwise
   std::vector<const char*> positional;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
       const auto parsed = util::parse_uint(argv[++i], 0, 1024);
       if (!parsed) usage(argv[0], std::string{"bad --threads: "} + argv[i]);
-      threads = static_cast<unsigned>(*parsed);
+      config.threads = static_cast<unsigned>(*parsed);
     } else if (std::strcmp(argv[i], "--poison") == 0 && i + 1 < argc) {
       const auto parsed = util::parse_double(argv[++i], 0.0, 1.0);
       if (!parsed) usage(argv[0], std::string{"bad --poison: "} + argv[i]);
@@ -116,8 +116,7 @@ int main(int argc, char** argv) {
   const supervise::TaskFaultInjector injector{storm};
 
   supervise::SupervisorOptions sup_opt;
-  sup_opt.threads = threads;
-  sup_opt.shard_deadline_ms = 2'000;
+  sup_opt.retry.attempt_deadline_ms = 2'000;
   sup_opt.injector = &injector;
   sup_opt.on_quarantine = [](const supervise::QuarantinedItem& q) {
     std::cout << "  quarantined UE " << q.item << " (day " << q.day << ", shard "
@@ -166,6 +165,7 @@ int main(int argc, char** argv) {
   std::cout << "\nVerifying against a clean serial run over the survivors...\n";
   ChecksumSink clean_crc;
   core::Simulator oracle{config};
+  oracle.set_threads(1);
   oracle.set_quarantined_ues(quarantined);
   oracle.add_sink(&clean_crc);
   oracle.run();

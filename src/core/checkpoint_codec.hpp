@@ -1,9 +1,8 @@
 #pragma once
 
 // Binary (de)serialization of DayCheckpoint: the one checkpoint format,
-// embedded inside the durable record log's day commit markers and written
-// verbatim as the standalone checkpoint file (Simulator::save_checkpoint)
-// for runs without a durable log.
+// embedded inside the durable record log's day commit markers — the
+// simulator's one resume path.
 //
 // Persisting the checkpoint *inside* the marker is what makes "records
 // through day D" and "resume state after day D" a single atomic unit: the

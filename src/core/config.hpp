@@ -5,7 +5,6 @@
 // the paper's tables and figures).
 
 #include <cstdint>
-#include <string>
 
 #include "devices/catalog.hpp"
 #include "devices/population.hpp"
@@ -74,12 +73,6 @@ struct StudyConfig {
   /// source, capped-exponential re-attempt backoff, temporary target
   /// barring). Off by default: the stock pipeline's output is untouched.
   faults::RecoveryConfig recovery;
-
-  /// When non-empty, Simulator::run() writes a checkpoint here after every
-  /// completed day and resumes from it on the next run() — a mid-run crash
-  /// (injected or real) costs at most one day of recomputation and the
-  /// resumed record stream is identical to an uninterrupted run.
-  std::string checkpoint_path;
 
   /// Applies `scale` and `seed` consistently across the nested configs.
   /// Call after editing scale/seed/days.

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <string>
 
 #include "core/checkpoint_codec.hpp"
 #include "exec/buffers.hpp"
 #include "exec/sharded_runner.hpp"
 #include "govern/governor.hpp"
-#include "io/file.hpp"
 #include "mobility/metrics.hpp"
 #include "obs/scoped_timer.hpp"
 #include "policy/policies.hpp"
@@ -183,14 +181,9 @@ void Simulator::run() {
         }
         restore(cp);
       }
-    } else if (!config_.checkpoint_path.empty()) {
-      load_checkpoint(config_.checkpoint_path);
     }
   }
-  for (int day = next_day_; day < config_.days; ++day) {
-    run_day(day);
-    if (!config_.checkpoint_path.empty()) save_checkpoint(config_.checkpoint_path);
-  }
+  for (int day = next_day_; day < config_.days; ++day) run_day(day);
 }
 
 DayCheckpoint Simulator::checkpoint() const {
@@ -214,39 +207,6 @@ void Simulator::restore(const DayCheckpoint& checkpoint) {
   records_emitted_ = checkpoint.records_emitted;
   core_ = checkpoint.core;
   set_quarantined_ues(checkpoint.quarantined_ues);
-}
-
-void Simulator::save_checkpoint(const std::string& path) const {
-  // The codec bytes carry their own CRC32C trailer; the atomic write means a
-  // crash leaves either the old checkpoint or the new one, never a torn mix.
-  auto& fs = io::StdioFileSystem::instance();
-  try {
-    io::write_file_atomic(fs, path, encode_checkpoint(checkpoint()));
-  } catch (const io::IoError& error) {
-    const std::string tmp = path + ".tmp";
-    if (fs.exists(tmp)) fs.remove(tmp);
-    throw std::runtime_error{"save_checkpoint: " + std::string{error.what()} + " on " +
-                             path};
-  }
-}
-
-bool Simulator::load_checkpoint(const std::string& path) {
-  auto& fs = io::StdioFileSystem::instance();
-  if (!fs.exists(path)) return false;  // no checkpoint yet: start from day 0
-  DayCheckpoint cp;
-  try {
-    // The codec's exact-size and CRC checks reject truncation, bit flips,
-    // and trailing garbage before any field is parsed, and no simulator
-    // state is touched until the whole file has validated.
-    cp = decode_checkpoint(io::read_file(fs, path));
-  } catch (const std::runtime_error&) {  // io::IoError included
-    throw std::runtime_error{"load_checkpoint: corrupt checkpoint " + path};
-  }
-  if (cp.seed != config_.seed) {
-    throw std::runtime_error{"load_checkpoint: seed mismatch in " + path};
-  }
-  restore(cp);
-  return true;
 }
 
 void Simulator::resolve_obs() {
@@ -275,8 +235,8 @@ void Simulator::resolve_obs() {
       reg->histogram("tl_sim_day_seconds",
                      obs::MetricsRegistry::latency_edges_s(),
                      "Wall time per simulated study day");
-  // Same family ShardedDayRunner and StudySupervisor record their worker
-  // spans into (registration is idempotent by name): the serial day books
+  // Same family ShardedDayRunner records its worker spans into
+  // (registration is idempotent by name): the serial day books
   // its whole UE loop here, so stage accounting — and the throughput bench's
   // --profile breakdown — is populated at 1 thread too instead of silently
   // reading zero.
@@ -291,7 +251,8 @@ void Simulator::run_day(int day) {
   resolve_obs();
   obs::ScopedTimer day_span{obs_day_seconds_};
   // The day is transactional: if anything below throws — a sink mid-day, a
-  // failed durable commit, an unsupervised shard failure — the simulator
+  // failed durable commit, a shard failure or a supervisor giving up, after
+  // the pipelined merge may have folded in earlier shards — the simulator
   // state rolls back to the day's start, so a later retry (or a resumed
   // process) replays the day exactly once instead of double-counting the
   // partial attempt. The quarantine set deliberately survives the rollback:
@@ -369,22 +330,19 @@ void Simulator::simulate_day(int day) {
     return;
   }
 
-  if (supervisor_ == nullptr &&
-      (runner_ == nullptr || runner_->thread_count() != threads ||
-       runner_obs_epoch_ != obs::global_epoch())) {
+  if (runner_ == nullptr || runner_->thread_count() != threads ||
+      runner_obs_epoch_ != obs::global_epoch()) {
     exec::ShardedDayRunner::Options opt;
     opt.threads = threads;
     opt.min_items_per_shard = config_.min_ues_per_shard;
     runner_ = std::make_unique<exec::ShardedDayRunner>(opt);
     runner_obs_epoch_ = obs::global_epoch();
   }
-  const std::size_t shard_count = supervisor_ != nullptr
-                                      ? supervisor_->shard_count(ues.size())
-                                      : runner_->shard_count(ues.size());
+  const std::size_t shard_count = runner_->shard_count(ues.size());
   if (day_shards_ == nullptr) day_shards_ = std::make_unique<DayShards>();
   auto& shards = day_shards_->shards;
   if (shards.size() != shard_count || !config_.reuse_shard_state) {
-    // Geometry change (thread sweep, supervisor switch, population change)
+    // Geometry change (thread sweep, population change)
     // or reuse disabled: retained capacities and hints belong to different
     // UE ranges — drop the slab and let the day grow it organically, as a
     // fresh run would.
@@ -439,7 +397,7 @@ void Simulator::simulate_day(int day) {
         merge);
   } else {
     const supervise::DayReport report = supervisor_->run_day(
-        day, ues.size(), quarantined_ues_,
+        *runner_, day, ues.size(), quarantined_ues_,
         [&](std::size_t shard, std::size_t first, std::size_t last,
             const supervise::CancelToken* cancel, std::span<const devices::UeId> skip) {
           simulate(shards[shard], first, last, skip, cancel);

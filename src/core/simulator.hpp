@@ -10,13 +10,13 @@
 //
 // A day has one execution path: one UE-range loop (simulate_range) that
 // either writes straight into the sinks (serial) or fills one persistent
-// slab of per-shard staging that merges back in UE order — driven by
-// exec::ShardedDayRunner at threads > 1, and by supervise::StudySupervisor
-// when a supervisor is installed. Every mode emits the same bytes.
+// slab of per-shard staging that merges back in UE order. Sharded days have
+// one scheduler, exec::ShardedDayRunner, at config().threads; an installed
+// supervise::StudySupervisor wraps its shard callback, never replaces it.
+// Every mode emits the same bytes.
 
 #include <memory>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "core/config.hpp"
@@ -88,9 +88,9 @@ class Simulator {
   /// protocol: every day commit marker written by the log embeds this
   /// simulator's serialized checkpoint, so the day cursor, core-network
   /// counters, and record bytes become one atomic commit unit. run()
-  /// restores from the log's recovered state (which takes precedence over
-  /// `config().checkpoint_path`) — resuming after a kill at any byte offset
-  /// yields a record stream byte-identical to an uninterrupted run.
+  /// restores from the log's recovered state — the one resume path:
+  /// resuming after a kill at any byte offset yields a record stream
+  /// byte-identical to an uninterrupted run.
   void attach_durable_log(telemetry::DurableRecordSink* sink);
 
   /// Installs (or clears, with nullptr) a borrowed fault-injection
@@ -102,8 +102,8 @@ class Simulator {
   const faults::FaultSchedule* fault_schedule() const noexcept { return faults_; }
 
   /// Runs the remaining configured days (all of them on a fresh instance).
-  /// When `config().checkpoint_path` is set, resumes from that file if
-  /// present and rewrites it after every completed day.
+  /// With a durable log attached, first resumes from its last committed day
+  /// marker, so a finished log makes run() a no-op.
   void run();
   /// Runs a single day (idempotent per day; callers sequence days). Running
   /// the day at the checkpoint cursor advances the cursor; out-of-order
@@ -115,13 +115,16 @@ class Simulator {
   void run_day(int day);
 
   /// Installs (or clears, with nullptr) a borrowed supervisor: subsequent
-  /// days drive the same shard slab through StudySupervisor::run_day — shard
-  /// attempts get retries with backoff, watchdog deadlines (cooperative
-  /// cancellation polled in the per-trace-event hot loop), and poison-UE
-  /// bisection + quarantine — instead of aborting on the first shard
-  /// failure. Output stays byte-identical to an unsupervised serial run over
-  /// the surviving (non-quarantined) population. The supervisor must outlive
-  /// the runs.
+  /// days hand the simulator's own runner and shard slab to
+  /// StudySupervisor::run_day, which wraps each shard in a ladder of retries
+  /// with backoff, watchdog deadlines (cooperative cancellation polled in the
+  /// per-trace-event hot loop), and poison-UE bisection + quarantine,
+  /// instead of aborting on the first shard failure. Threads and shard
+  /// geometry stay the study's (set_threads); supervised days take the
+  /// sharded path even at 1 thread. Output stays byte-identical to an
+  /// unsupervised serial run over the surviving (non-quarantined)
+  /// population; a day the supervisor gives up on rolls back like any failed
+  /// day. The supervisor must outlive the runs.
   void set_supervisor(supervise::StudySupervisor* supervisor) noexcept {
     supervisor_ = supervisor;
   }
@@ -137,10 +140,11 @@ class Simulator {
   }
 
   /// Re-targets subsequent run()/run_day() calls at `threads` workers
-  /// (0 = all hardware threads, 1 = serial). Simulation output is invariant
-  /// under this knob; only wall-clock changes. The worker pool is rebuilt
-  /// lazily on the next parallel day, so a long-lived simulator can sweep
-  /// thread counts (the throughput bench does) without a world rebuild.
+  /// (0 = all hardware threads, 1 = serial), supervised or not. Simulation
+  /// output is invariant under this knob; only wall-clock changes. The
+  /// worker pool is rebuilt lazily on the next sharded day, so a long-lived
+  /// simulator can sweep thread counts (the throughput bench does) without
+  /// a world rebuild.
   void set_threads(unsigned threads) noexcept { config_.threads = threads; }
 
   /// Snapshot after the last completed day; feed to a fresh Simulator's
@@ -149,13 +153,6 @@ class Simulator {
   /// Restores the day cursor and counters. Throws std::invalid_argument on
   /// a seed mismatch (the checkpoint belongs to a different study).
   void restore(const DayCheckpoint& checkpoint);
-  /// File forms of checkpoint()/restore(), in the binary checkpoint codec
-  /// (core/checkpoint_codec.hpp) the durable log's commit markers embed.
-  /// save_checkpoint replaces `path` atomically (temp file, fsync, rename).
-  /// load_checkpoint returns false when `path` does not exist and throws
-  /// std::runtime_error on a corrupt or mismatched file, restoring nothing.
-  void save_checkpoint(const std::string& path) const;
-  bool load_checkpoint(const std::string& path);
   /// First day the next run() call will simulate.
   int next_day() const noexcept { return next_day_; }
 
@@ -275,11 +272,12 @@ class Simulator {
   std::vector<telemetry::MetricsSink*> metrics_sinks_;
   telemetry::DurableRecordSink* durable_ = nullptr;
   /// Parallel engine, created on the first sharded day and kept across days
-  /// (and across set_threads() calls that don't change the count).
+  /// (and across set_threads() calls that don't change the count). The one
+  /// scheduler: supervised days run on it too.
   std::unique_ptr<exec::ShardedDayRunner> runner_;
-  /// Reusable shard staging slab (see DayShards), shared by the runner and
-  /// the supervisor. Rebuilt only when the shard geometry changes; released
-  /// wholesale under memory pressure.
+  /// Reusable shard staging slab (see DayShards), supervised or not. Rebuilt
+  /// only when the shard geometry changes; released wholesale under memory
+  /// pressure.
   std::unique_ptr<DayShards> day_shards_;
   supervise::StudySupervisor* supervisor_ = nullptr;
   /// UEs withdrawn from the study by supervised degradation (sorted,

@@ -12,12 +12,20 @@
 // durable log, counter reduction) lives in the merge callback and therefore
 // never observes scheduling.
 //
+// run() is the only code that schedules shard tasks. Unsupervised sharded
+// simulator days call it directly; supervised days call it through
+// supervise::StudySupervisor::run_day, which wraps the simulate callback in a
+// per-shard retry/bisect/quarantine ladder — so every sharded day shares this
+// geometry, gate and pipelined merge.
+//
 // Exceptions: a simulate callback that throws poisons its shard; run()
 // waits for every in-flight shard, performs no further merges, and rethrows
 // the poisoned exception that comes first in merge order — deterministic
-// for deterministic failures. Merge callbacks run on the caller's thread,
-// so their exceptions propagate directly (later shards are abandoned,
-// their simulate results discarded with the shard state).
+// for deterministic failures. Shards before it may already have merged; the
+// caller rolls back whatever they folded in (Simulator::run_day does). Merge
+// callbacks run on the caller's thread, so their exceptions propagate
+// directly (later shards are abandoned, their simulate results discarded
+// with the shard state).
 
 #include <cstddef>
 #include <functional>
@@ -60,10 +68,6 @@ class ShardedDayRunner {
   explicit ShardedDayRunner(Options options);
 
   unsigned thread_count() const noexcept { return pool_.size(); }
-
-  /// The underlying pool, for callers (StudySupervisor) that schedule their
-  /// own attempts while reusing this runner's workers and shard geometry.
-  ThreadPool& pool() noexcept { return pool_; }
 
   /// Number of shards run() will use for `item_count` items: at most
   /// threads * shards_per_thread, never more than one shard per item.

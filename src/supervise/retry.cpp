@@ -84,6 +84,7 @@ RetryReport run_with_retries(const RetryPolicy& policy, const std::string& what,
       // SimulatedCrash rethrows from inside classify_exception.
       status = classify_exception(std::current_exception());
     }
+    report.failures.push_back(status);
     if (status.code() == StatusCode::kDeadlineExceeded) ++report.timeouts;
     report.status = Status{
         status.code(), what + " (attempt " + std::to_string(attempt) + "/" +

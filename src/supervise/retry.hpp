@@ -1,22 +1,22 @@
 #pragma once
 
-// Standalone retry helper for single supervised operations.
+// The one retry ladder: run_with_retries drives every supervised attempt —
+// each shard attempt of a supervised day (StudySupervisor runs one ladder per
+// shard on the shard's worker thread) and the serve-mode tailer's long-lived
+// operations (a WAL poll, a checkpoint write). It classifies each failure
+// with the shared taxonomy (status.hpp), backs off on a capped-exponential,
+// seeded-jitter schedule, optionally arms a per-attempt deadline watchdog
+// through a fresh CancelToken, grants one degraded re-run after a
+// kResourceExhausted failure escalates the global governor, and gives up with
+// a typed Status instead of an exception.
 //
-// StudySupervisor owns the retry/bisect/quarantine machinery for shard
-// *fleets*; the serve-mode tailer needs the same transient-vs-permanent
-// discipline for one long-lived operation (a WAL poll, a checkpoint write)
-// without dragging in shard bookkeeping. run_with_retries() is that slice:
-// classify the failure with the shared taxonomy (status.hpp), back off with
-// the same capped-exponential seeded-jitter schedule the supervisor uses,
-// optionally arm a per-attempt deadline through a CancelToken, and give up
-// with a typed Status instead of an exception.
-//
-// Crash semantics match the supervisor: io::SimulatedCrash is never
-// absorbed — it propagates out so chaos harnesses see the process "die".
+// Crash semantics: io::SimulatedCrash is never absorbed — it propagates out
+// so chaos harnesses see the process "die".
 
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "supervise/cancellation.hpp"
 #include "supervise/status.hpp"
@@ -46,6 +46,9 @@ struct RetryReport {
   /// Extra attempts granted after a kResourceExhausted failure escalated
   /// the global governor to Critical (at most one per run_with_retries).
   int degraded_retries = 0;
+  /// Each failed attempt's classified Status, in attempt order (unprefixed:
+  /// the code and message the operation threw).
+  std::vector<Status> failures;
   bool ok() const noexcept { return status.is_ok(); }
 };
 

@@ -5,34 +5,35 @@
 // The paper's telco pipeline runs for four weeks over ~40M UEs; at that
 // scale the realistic failure is partial — a stuck worker, a transient EIO,
 // one pathological UE — and the naive response (unwind, abort the study) is
-// exactly wrong. The supervisor wraps the deterministic ShardedDayRunner
-// with the reaction ladder an always-on system needs:
+// exactly wrong. The supervisor schedules nothing itself: run_day hands the
+// caller's exec::ShardedDayRunner a wrapped shard callback, so a supervised
+// day gets the runner's geometry, backpressure gate and pipelined ordered
+// merge, and each shard runs this ladder on its own worker thread:
 //
-//   attempt --ok--------------------------------> staged, merge later
-//      |
-//      | failure (classified into tl::Status by classify_exception)
+//   attempts (run_with_retries: classify, back off with capped-exponential
+//   seeded jitter keyed by day/shard/attempt, per-attempt deadline, one
+//   degraded re-run after a governor escalation)
+//      | ok --> staged; the runner merges it in ascending shard order
+//      | permanent, or retries exhausted
 //      v
-//   retryable? --yes, attempts left--> backoff (capped exponential, seeded
-//      |                               jitter) --> retry
-//      | no (permanent, or retries exhausted)
-//      v
-//   bisect: probe halves of the shard on the caller thread until the
-//   failing item(s) are isolated --> quarantine them, re-run the shard
-//   over the survivors (bounded by max_bisection_rounds)
+//   bisect: probe halves of the shard's own range, on the same thread, until
+//   the failing item(s) are isolated --> quarantine them, run the attempts
+//   again over the survivors (at most max_bisection_rounds times, then
+//   SupervisionError)
 //
-// Determinism contract: retries, deadlines, backoff, and bisection all
-// happen BEFORE any merge — shard results stage into per-shard buffers and
-// merge in ascending shard order only after every shard has succeeded, so
-// the record stream stays byte-identical to a serial run over the surviving
-// population no matter which faults fired where. Quarantine decisions are
-// driven only by per-item behavior (every attempt at a poison item fails),
-// never by shard geometry, so the quarantined set is identical at any
-// thread count.
+// Determinism contract: a shard's staging merges only after its ladder
+// succeeded, and the runner merges shards in ascending order, so the record
+// stream stays byte-identical to a serial run over the surviving population
+// no matter which faults fired where. Quarantine decisions are driven only
+// by per-item behavior (every attempt at a poison item fails), never by
+// shard geometry, so the quarantined set is identical at any thread count.
+// A day that gives up may already have merged the shards before the failing
+// one; the caller rolls the day back (Simulator::run_day does, as for any
+// failed day).
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -40,6 +41,7 @@
 
 #include "obs/metrics.hpp"
 #include "supervise/cancellation.hpp"
+#include "supervise/retry.hpp"
 #include "supervise/status.hpp"
 #include "supervise/task_fault_injector.hpp"
 
@@ -87,8 +89,9 @@ struct DayReport {
   std::uint64_t retries = 0;   ///< attempts beyond each shard's first
   std::uint64_t timeouts = 0;  ///< attempts cancelled by the watchdog
   std::uint64_t bisection_probes = 0;
-  /// Shard re-runs granted after a kResourceExhausted failure escalated the
-  /// global governor (at most one per shard per day).
+  /// Re-runs granted after a kResourceExhausted failure escalated the global
+  /// governor (at most one per run_with_retries call: per shard and
+  /// bisection round, or per probe).
   std::uint64_t degraded_retries = 0;
   std::vector<QuarantinedItem> quarantined;  ///< sorted by item id
   std::vector<ShardOutcome> outcomes;        ///< final outcome per shard
@@ -118,28 +121,12 @@ class SupervisionError : public std::runtime_error {
 };
 
 struct SupervisorOptions {
-  /// Worker threads (0 = hardware), shards per worker — same semantics as
-  /// ShardedDayRunner::Options. Supervision keeps the finer default shard
-  /// grain (4/worker): smaller shards are cheaper to retry and bisect,
-  /// which matters more here than shaving fixed per-shard cost.
-  unsigned threads = 0;
-  unsigned shards_per_thread = 4;
-
-  /// Re-attempts allowed per shard after its first try (per bisection round).
-  int max_retries = 4;
-  /// Capped exponential backoff between attempts of the same shard:
-  /// min(cap, initial * multiplier^(retry-1)), scaled by a seeded jitter
-  /// factor in [0.5, 1.5). Slept on the worker thread — never affects
-  /// output bytes.
-  std::uint64_t backoff_initial_ms = 5;
-  std::uint64_t backoff_cap_ms = 200;
-  double backoff_multiplier = 2.0;
-  std::uint64_t jitter_seed = 0x5eedULL;
-
-  /// Per-shard-attempt deadline enforced by the watchdog thread via
-  /// cooperative cancellation (0 = no deadline). Also applied to bisection
-  /// probes.
-  std::uint64_t shard_deadline_ms = 0;
+  /// Every shard's attempt ladder. Backoff jitter stays keyed by (day,
+  /// shard, attempt): a shard's ladder runs with jitter_seed derived from
+  /// (retry.jitter_seed, day, shard). retry.attempt_deadline_ms is the
+  /// per-attempt watchdog deadline (0 = none), also applied to bisection
+  /// probes. Backoff sleeps on the worker thread — never affects bytes.
+  RetryPolicy retry;
 
   /// When false, a shard that exhausts retries throws SupervisionError
   /// instead of bisecting (strict mode for tests / short runs).
@@ -154,28 +141,24 @@ struct SupervisorOptions {
   /// UE loop through the EmitFrame). Borrowed; may be null.
   const TaskFaultInjector* injector = nullptr;
 
-  /// Invoked (on the supervising thread) for every item as it is
-  /// quarantined — the telemetry hook for quarantine events.
+  /// Invoked on the thread that called run_day, once every shard of the day
+  /// has succeeded, for each newly quarantined item in item order — the
+  /// telemetry hook for quarantine events.
   std::function<void(const QuarantinedItem&)> on_quarantine;
 };
-
-class Watchdog;  // deadline enforcement thread (internal to supervisor.cpp)
 
 class StudySupervisor {
  public:
   explicit StudySupervisor(SupervisorOptions options);
-  ~StudySupervisor();
 
   StudySupervisor(const StudySupervisor&) = delete;
   StudySupervisor& operator=(const StudySupervisor&) = delete;
 
   const SupervisorOptions& options() const noexcept { return options_; }
-  unsigned thread_count() const noexcept;
-  /// Shard geometry — identical to the wrapped ShardedDayRunner's.
-  std::size_t shard_count(std::size_t item_count) const noexcept;
 
-  /// The backoff the given retry will sleep (jitter included); exposed so
-  /// tests can pin the policy down without measuring wall clock.
+  /// The backoff the given retry of a shard sleeps (jitter included): the
+  /// retry_backoff_ms of that shard's derived policy. Exposed so tests can
+  /// pin the policy down without measuring wall clock.
   std::uint64_t backoff_ms(int day, std::size_t shard, int attempt) const;
 
   /// Simulate items [first, last) of `shard` into per-shard staging, from a
@@ -187,28 +170,29 @@ class StudySupervisor {
       const CancelToken* cancel, std::span<const std::uint32_t> skip)>;
 
   /// Bisection probe: simulate items [first, last) into throwaway staging,
-  /// on the calling thread. Same skip/cancel contract as SimulateFn. Kept
-  /// separate so probes replay only per-item behavior — the injector's task
-  /// channel is deliberately not consulted, which is what makes quarantine
-  /// decisions independent of shard geometry.
+  /// on the failing shard's worker thread. Same skip/cancel contract as
+  /// SimulateFn. Kept separate so probes replay only per-item behavior —
+  /// the injector's task channel is deliberately not consulted, which is
+  /// what makes quarantine decisions independent of shard geometry.
   using ProbeFn =
       std::function<void(std::size_t first, std::size_t last,
                          const CancelToken* cancel, std::span<const std::uint32_t> skip)>;
 
   /// Fold shard staging into global state; calling thread, ascending shard
-  /// order, only after EVERY shard has succeeded.
+  /// order, each shard once it and every earlier shard have succeeded.
   using MergeFn = std::function<void(std::size_t shard)>;
 
-  /// Supervises one day over `item_count` items, of which `quarantined`
-  /// (sorted ids) are skipped from the start. Returns the day's report;
-  /// newly quarantined items are in DayReport::quarantined (the caller owns
+  /// Supervises one day over `item_count` items with one runner.run() call
+  /// (the runner's threads and shard geometry), skipping `quarantined`
+  /// (sorted ids) from the start. Returns the day's report; newly
+  /// quarantined items are in DayReport::quarantined (the caller owns
   /// folding them into its persistent set). Throws SupervisionError when
-  /// degradation is impossible (see SupervisorOptions), and propagates
-  /// io::SimulatedCrash untouched. Successful attempts and merges are booked
-  /// into the engine's stage metrics (tl_exec_shards_simulated_total,
-  /// tl_exec_shard_sim_seconds, tl_exec_shard_merge_seconds) as
-  /// ShardedDayRunner books its shards; failed attempts stay out of them.
-  DayReport run_day(int day, std::size_t item_count,
+  /// degradation is impossible (see SupervisorOptions) and propagates
+  /// io::SimulatedCrash untouched; after either, earlier shards may already
+  /// have merged, and the summary is left as it was before the day. Stage
+  /// metrics are the runner's: one simulated shard and one sim span per
+  /// shard, the span covering the shard's whole ladder.
+  DayReport run_day(exec::ShardedDayRunner& runner, int day, std::size_t item_count,
                     std::span<const std::uint32_t> quarantined,
                     const SimulateFn& simulate, const ProbeFn& probe,
                     const MergeFn& merge);
@@ -217,22 +201,11 @@ class StudySupervisor {
   void reset_summary() { summary_ = SupervisionSummary{}; }
 
  private:
-  struct ShardState;
-
-  /// Probes halves of [state.first, state.last) until the deterministically
-  /// failing items are isolated; quarantines them into `report` and `skip`.
-  /// Returns how many items were condemned (0 = failure did not reproduce).
-  std::size_t isolate(int day, std::size_t shard, const ShardState& state,
-                      std::vector<std::uint32_t>& skip, DayReport& report,
-                      const ProbeFn& probe);
-
   /// Re-resolves the obs handles when the global registry changed since the
   /// last run_day. Called at the top of run_day (single-threaded boundary).
   void resolve_obs();
 
   SupervisorOptions options_;
-  std::unique_ptr<exec::ShardedDayRunner> runner_;
-  std::unique_ptr<Watchdog> watchdog_;
   SupervisionSummary summary_;
 
   // Supervisors outlive registry swaps (a bench reuses one across arms), so
@@ -245,9 +218,6 @@ class StudySupervisor {
   obs::Counter obs_quarantined_;
   obs::Gauge obs_quarantine_size_;
   obs::Histogram obs_day_seconds_;
-  obs::Counter obs_shards_simulated_;
-  obs::Histogram obs_shard_sim_seconds_;
-  obs::Histogram obs_shard_merge_seconds_;
 };
 
 }  // namespace tl::supervise

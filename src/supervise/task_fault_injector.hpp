@@ -35,7 +35,7 @@ struct TaskFaultConfig {
   double slow_rate = 0.0;      ///< sleep slow_ms, then proceed normally
   std::uint64_t slow_ms = 5;
   /// A (day, shard) pair faults on at most this many consecutive attempts;
-  /// keep <= the supervisor's max_retries so task faults always converge.
+  /// keep <= the supervisor's retry.max_retries so task faults always converge.
   int max_faulty_attempts = 3;
   /// Safety net: an injected hang gives up after this long even if nobody
   /// cancels it, so an unsupervised run cannot deadlock.

@@ -715,77 +715,25 @@ TEST(CheckpointCodec, RejectsTruncationAndBitFlips) {
   EXPECT_THROW(core::decode_checkpoint(extended), std::runtime_error);
 }
 
-// --- checkpoint file: atomic write, hardened load ----------------------------
+// --- atomic file replacement --------------------------------------------------
 
-TEST(CheckpointFile, SaveIsAtomicAndLeavesNoTempResidue) {
-  TempDir tmp{"ckpt_atomic"};
+TEST(WriteFileAtomic, ReplacesAnExistingFileAndLeavesNoTemp) {
+  TempDir tmp{"write_atomic"};
   fs::create_directories(tmp.path);
-  const std::string path = tmp.path + "/study.checkpoint";
+  const std::string path = tmp.path + "/state.bin";
+  auto& real = io::StdioFileSystem::instance();
 
-  StudyConfig cfg = chaos_config();
-  Simulator sim{cfg};
-  sim.run_day(0);
-  sim.save_checkpoint(path);
-  EXPECT_TRUE(fs::exists(path));
+  const std::vector<std::uint8_t> first = {1, 2, 3, 4, 5, 6, 7, 8};
+  io::write_file_atomic(real, path, first);
+  EXPECT_EQ(io::read_file(real, path), first);
   EXPECT_FALSE(fs::exists(path + ".tmp"));
 
-  // Overwrite through the same path: still atomic, still loadable.
-  sim.run_day(1);
-  sim.save_checkpoint(path);
+  // A shorter image replaces the longer one whole: no tail of the old bytes.
+  const std::vector<std::uint8_t> second = {9, 10, 11};
+  io::write_file_atomic(real, path, second);
+  EXPECT_EQ(io::read_file(real, path), second);
+  EXPECT_EQ(slurp(path), second);
   EXPECT_FALSE(fs::exists(path + ".tmp"));
-
-  Simulator resumed{cfg};
-  ASSERT_TRUE(resumed.load_checkpoint(path));
-  EXPECT_EQ(resumed.next_day(), 2);
-  EXPECT_EQ(resumed.records_emitted(), sim.records_emitted());
-}
-
-TEST(CheckpointFile, LoadRejectsTruncationBitFlipsAndTrailingGarbage) {
-  TempDir tmp{"ckpt_hardened"};
-  fs::create_directories(tmp.path);
-  const std::string path = tmp.path + "/study.checkpoint";
-
-  StudyConfig cfg = chaos_config();
-  Simulator sim{cfg};
-  sim.run_day(0);
-  sim.save_checkpoint(path);
-  const auto good = slurp(path);
-  ASSERT_GT(good.size(), 16u);
-
-  // One long-lived victim: every failed load must leave it untouched (the
-  // no-partial-restore guarantee), which the next iteration then depends on.
-  Simulator victim{cfg};
-  const auto expect_rejected = [&](const std::vector<std::uint8_t>& bad,
-                                   const std::string& what) {
-    spit(path, bad);
-    EXPECT_THROW(victim.load_checkpoint(path), std::runtime_error) << what;
-    EXPECT_EQ(victim.next_day(), 0) << what;
-    EXPECT_EQ(victim.records_emitted(), 0u) << what;
-  };
-
-  // Every proper prefix must be rejected (torn write at any byte offset).
-  for (std::size_t len = 0; len < good.size(); len += 7) {
-    expect_rejected({good.begin(), good.begin() + len},
-                    "truncated to " + std::to_string(len));
-  }
-  // Any single bit flip must be rejected (CRC trailer).
-  util::Rng rng{2024};
-  for (int i = 0; i < 64; ++i) {
-    auto flipped = good;
-    const std::size_t pos = rng.below(good.size());
-    flipped[pos] ^= static_cast<std::uint8_t>(1u << rng.below(8));
-    expect_rejected(flipped, "bit flip at " + std::to_string(pos));
-  }
-  // Bytes appended after a valid checkpoint must be rejected too.
-  auto extended = good;
-  const std::string junk = "trailing junk";
-  extended.insert(extended.end(), junk.begin(), junk.end());
-  expect_rejected(extended, "trailing garbage");
-
-  // The pristine file still loads (the reject sweep never corrupted state).
-  spit(path, good);
-  ASSERT_TRUE(victim.load_checkpoint(path));
-  EXPECT_EQ(victim.next_day(), 1);
 }
 
 // --- validating sink ---------------------------------------------------------

@@ -482,9 +482,8 @@ ReuseCapture run_reuse_arm(bool reuse, unsigned threads, const std::string& dir,
   govern::MemoryBudget budget;  // budget 0: accounting only, always Steady
   std::unique_ptr<supervise::StudySupervisor> supervisor;
   if (supervised) {
-    supervise::SupervisorOptions sup_opt;
-    sup_opt.threads = threads;
-    supervisor = std::make_unique<supervise::StudySupervisor>(sup_opt);
+    supervisor = std::make_unique<supervise::StudySupervisor>(
+        supervise::SupervisorOptions{});
   }
   Simulator sim{cfg};
   govern::ScopedGlobalGovernor install{&budget};
@@ -567,8 +566,8 @@ TEST(ShardStateReuse, SurvivesMidStudyThreadCountChange) {
 }
 
 TEST(ShardStateReuse, SupervisedDaysReuseTheSameSlab) {
-  // With a supervisor installed the days run through StudySupervisor, which
-  // drives the same slab: warm and fresh runs must still agree everywhere,
+  // With a supervisor installed the days run through StudySupervisor on the
+  // same runner and slab: warm and fresh runs must still agree everywhere,
   // and at Steady pressure the warm slab keeps its record buffers (and
   // their accounting) after the last day instead of rebuilding them daily.
   for (const unsigned threads : {2u, 4u}) {

@@ -5,8 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <vector>
 
 #include "core/simulator.hpp"
@@ -445,70 +443,6 @@ TEST(Checkpoint, ResumeEmitsIdenticalRecords) {
   stitched.insert(stitched.end(), part1.records().begin(), part1.records().end());
   expect_identical({uninterrupted.records().begin(), uninterrupted.records().end()},
                    stitched);
-}
-
-TEST(Checkpoint, FileRoundTripAndValidation) {
-  const std::string path = ::testing::TempDir() + "telcolens_ckpt_test.checkpoint";
-  std::remove(path.c_str());
-
-  StudyConfig cfg = small_config();
-  cfg.checkpoint_path = path;
-
-  telemetry::SignalingDataset uninterrupted;
-  {
-    StudyConfig plain = small_config();
-    Simulator full{plain};
-    full.add_sink(&uninterrupted);
-    full.run();
-  }
-
-  // First instance completes day 0 and "crashes" (falls out of scope).
-  telemetry::SignalingDataset part0;
-  {
-    Simulator first{cfg};
-    first.add_sink(&part0);
-    first.run_day(0);
-    first.save_checkpoint(path);
-  }
-
-  // Second instance resumes from the file inside run().
-  telemetry::SignalingDataset part1;
-  Simulator second{cfg};
-  second.add_sink(&part1);
-  second.run();
-  EXPECT_EQ(second.next_day(), cfg.days);
-
-  std::vector<HandoverRecord> stitched{part0.records().begin(), part0.records().end()};
-  stitched.insert(stitched.end(), part1.records().begin(), part1.records().end());
-  expect_identical({uninterrupted.records().begin(), uninterrupted.records().end()},
-                   stitched);
-
-  // A finished run's checkpoint makes a further run() a no-op.
-  telemetry::SignalingDataset nothing;
-  Simulator third{cfg};
-  third.add_sink(&nothing);
-  third.run();
-  EXPECT_EQ(nothing.size(), 0u);
-
-  // Seed mismatch and corruption are rejected loudly.
-  StudyConfig other = cfg;
-  other.seed = 777;
-  Simulator mismatched{other};
-  EXPECT_THROW(mismatched.load_checkpoint(path), std::runtime_error);
-
-  {
-    std::ofstream os{path, std::ios::trunc};
-    os << "not a checkpoint\n";
-  }
-  Simulator fourth{cfg};
-  EXPECT_THROW(fourth.load_checkpoint(path), std::runtime_error);
-  std::remove(path.c_str());
-
-  // Missing file: load returns false and run starts from day 0.
-  Simulator fifth{cfg};
-  EXPECT_FALSE(fifth.load_checkpoint(path));
-  EXPECT_EQ(fifth.next_day(), 0);
-  std::remove(path.c_str());
 }
 
 TEST(Checkpoint, RestoreRejectsMismatchedSeedAndRange) {

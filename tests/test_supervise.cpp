@@ -27,6 +27,7 @@
 
 #include "core/checkpoint_codec.hpp"
 #include "core/simulator.hpp"
+#include "exec/sharded_runner.hpp"
 #include "io/faulty_file.hpp"
 #include "io/file.hpp"
 #include "obs/metrics.hpp"
@@ -300,11 +301,23 @@ TEST(TaskFaultInjectorTest, OnTaskBeginThrowsTheDecidedExceptionType) {
 
 // --- supervisor over synthetic items ----------------------------------------
 
-/// Drives one supervised day over items 0..items-1. Simulation stages item
-/// ids into per-shard vectors; merge concatenates them. `poison` items
-/// always throw PermanentError (in probes too — per-item determinism is the
-/// bisection contract). `shard_fault` runs only in shard attempts, like the
-/// injector's task channel.
+/// The synthetic days' engine: 2 workers x 2 shards per worker, so 96 items
+/// split into four shards of 24.
+exec::ShardedDayRunner& synthetic_runner() {
+  static exec::ShardedDayRunner runner{[] {
+    exec::ShardedDayRunner::Options opt;
+    opt.threads = 2;
+    opt.shards_per_thread = 2;
+    return opt;
+  }()};
+  return runner;
+}
+
+/// Drives one supervised day over items 0..items-1 on synthetic_runner().
+/// Simulation stages item ids into per-shard vectors; merge concatenates
+/// them. `poison` items always throw PermanentError (in probes too —
+/// per-item determinism is the bisection contract). `shard_fault` runs only
+/// in shard attempts, like the injector's task channel.
 DayReport run_synthetic_day(
     StudySupervisor& sup, int day, std::size_t items,
     std::span<const std::uint32_t> pre_quarantined,
@@ -312,7 +325,7 @@ DayReport run_synthetic_day(
     const std::function<void(std::size_t shard, const CancelToken*)>& shard_fault =
         {}) {
   std::sort(poison.begin(), poison.end());
-  std::vector<std::vector<std::uint32_t>> staged(sup.shard_count(items));
+  std::vector<std::vector<std::uint32_t>> staged(synthetic_runner().shard_count(items));
   const auto emit = [&](std::vector<std::uint32_t>& out, std::size_t first,
                         std::size_t last, const CancelToken* cancel,
                         std::span<const std::uint32_t> skip) {
@@ -328,7 +341,7 @@ DayReport run_synthetic_day(
     }
   };
   return sup.run_day(
-      day, items, pre_quarantined,
+      synthetic_runner(), day, items, pre_quarantined,
       [&](std::size_t shard, std::size_t first, std::size_t last,
           const CancelToken* cancel, std::span<const std::uint32_t> skip) {
         if (shard_fault) shard_fault(shard, cancel);
@@ -354,13 +367,11 @@ std::vector<std::uint32_t> iota_minus(std::size_t items,
   return out;
 }
 
-SupervisorOptions fast_options(unsigned threads = 2) {
+SupervisorOptions fast_options() {
   SupervisorOptions opt;
-  opt.threads = threads;
-  opt.shards_per_thread = 2;
-  opt.max_retries = 4;
-  opt.backoff_initial_ms = 1;
-  opt.backoff_cap_ms = 4;
+  opt.retry.max_retries = 4;
+  opt.retry.backoff_initial_ms = 1;
+  opt.retry.backoff_cap_ms = 4;
   return opt;
 }
 
@@ -371,7 +382,7 @@ TEST(StudySupervisorTest, CleanDayMergesAllItemsInOrder) {
 
   EXPECT_EQ(merged, iota_minus(96, {}));
   EXPECT_EQ(report.day, 0);
-  EXPECT_EQ(report.shards, sup.shard_count(96));
+  EXPECT_EQ(report.shards, synthetic_runner().shard_count(96));
   EXPECT_EQ(report.retries, 0u);
   EXPECT_EQ(report.timeouts, 0u);
   EXPECT_TRUE(report.quarantined.empty());
@@ -437,7 +448,7 @@ TEST(StudySupervisorTest, RetryExhaustionEscalatesToBisectionThenRecovers) {
 
 TEST(StudySupervisorTest, WatchdogDeadlineCancelsHangingShard) {
   SupervisorOptions opt = fast_options();
-  opt.shard_deadline_ms = 40;
+  opt.retry.attempt_deadline_ms = 40;
   StudySupervisor sup{opt};
   std::vector<std::uint32_t> merged;
   std::atomic<int> hangs{0};
@@ -538,9 +549,9 @@ TEST(StudySupervisorTest, SimulatedCrashPropagatesUnabsorbed) {
 
 TEST(StudySupervisorTest, BackoffIsDeterministicJitteredAndCapped) {
   SupervisorOptions opt = fast_options();
-  opt.backoff_initial_ms = 100;
-  opt.backoff_cap_ms = 400;
-  opt.backoff_multiplier = 2.0;
+  opt.retry.backoff_initial_ms = 100;
+  opt.retry.backoff_cap_ms = 400;
+  opt.retry.backoff_multiplier = 2.0;
   StudySupervisor sup{opt};
 
   // First attempt never sleeps.
@@ -730,15 +741,13 @@ TEST(SupervisedSimulator, FaultStormMatchesSerialOracleAtEveryThreadCount) {
   for (const unsigned threads : {1u, 2u, 4u, 0u}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     SupervisorOptions opt;
-    opt.threads = threads;
-    opt.shards_per_thread = 4;
-    opt.max_retries = 4;
-    opt.backoff_initial_ms = 1;
-    opt.backoff_cap_ms = 8;
+    opt.retry.max_retries = 4;
+    opt.retry.backoff_initial_ms = 1;
+    opt.retry.backoff_cap_ms = 8;
     opt.injector = &injector;
     StudySupervisor sup{opt};
 
-    const SupCapture storm = run_supervised(sup);
+    const SupCapture storm = run_supervised(sup, threads);
 
     // Quarantine = exactly the poison set, discovered by bisection.
     EXPECT_EQ(storm.quarantined,
@@ -773,17 +782,15 @@ TEST(SupervisedSimulator, HangStormWithDeadlinesStaysByteIdentical) {
   const TaskFaultInjector injector{fc};
 
   SupervisorOptions opt;
-  opt.threads = 2;
-  opt.shards_per_thread = 4;
   // Scaled so legitimate shard work still beats the watchdog under TSan;
   // the hangs above dwarf it either way, so timeouts keep firing.
-  opt.shard_deadline_ms = 200 * kDeadlineScale;
-  opt.backoff_initial_ms = 1;
-  opt.backoff_cap_ms = 4;
+  opt.retry.attempt_deadline_ms = 200 * kDeadlineScale;
+  opt.retry.backoff_initial_ms = 1;
+  opt.retry.backoff_cap_ms = 4;
   opt.injector = &injector;
   StudySupervisor sup{opt};
 
-  const SupCapture storm = run_supervised(sup);
+  const SupCapture storm = run_supervised(sup, 2);
   EXPECT_TRUE(storm.quarantined.empty());
   ASSERT_EQ(storm.record_bytes, oracle.record_bytes);
   EXPECT_GE(sup.summary().timeouts, 1u);
@@ -817,10 +824,8 @@ TEST(SupervisedSimulator, WalBytesMatchPreQuarantinedSerialRun) {
   TempDir storm_dir{"wal_storm"};
   const TaskFaultInjector injector{storm_config()};
   SupervisorOptions opt;
-  opt.threads = 4;
-  opt.shards_per_thread = 4;
-  opt.backoff_initial_ms = 1;
-  opt.backoff_cap_ms = 8;
+  opt.retry.backoff_initial_ms = 1;
+  opt.retry.backoff_cap_ms = 8;
   opt.injector = &injector;
   StudySupervisor sup{opt};
   {
@@ -828,6 +833,7 @@ TEST(SupervisedSimulator, WalBytesMatchPreQuarantinedSerialRun) {
     log_opt.directory = storm_dir.path;
     RecordLog log{real, log_opt};
     telemetry::DurableRecordSink sink{log};
+    w.sim->set_threads(4);
     w.sim->restore(w.day0);
     w.sim->set_supervisor(&sup);
     AttachedSink attached{*w.sim, sink};
@@ -847,14 +853,14 @@ TEST(SupervisedSimulator, BooksSuccessfulAttemptsAndMergesAsExecStages) {
   fc.io_error_rate = 0.2;
   fc.max_faulty_attempts = 2;
   const TaskFaultInjector injector{fc};
-  SupervisorOptions opt = fast_options(2);
+  SupervisorOptions opt = fast_options();
   opt.injector = &injector;
   StudySupervisor sup{opt};
 
   obs::MetricsRegistry registry;
   {
     obs::ScopedGlobalRegistry install{&registry};
-    (void)run_supervised(sup);
+    (void)run_supervised(sup, 2);
   }
   const obs::MetricsSnapshot snap = registry.scrape();
 
@@ -862,9 +868,15 @@ TEST(SupervisedSimulator, BooksSuccessfulAttemptsAndMergesAsExecStages) {
   const std::uint64_t failed = summary.transient_failures + summary.permanent_failures;
   ASSERT_GT(failed, 0u) << "the storm must fail some attempts";
   ASSERT_TRUE(summary.quarantine.items.empty());
-  // Without quarantine, every shard of every day succeeds exactly once.
+  // Without quarantine, every shard of every day succeeds exactly once. The
+  // geometry is the study's: a runner at the same threads and UE floor.
+  exec::ShardedDayRunner::Options geometry;
+  geometry.threads = 2;
+  geometry.min_items_per_shard = SupWorld::instance().cfg.min_ues_per_shard;
   const std::uint64_t shard_days =
-      sup.shard_count(SupWorld::instance().sim->population().size()) * summary.days;
+      exec::ShardedDayRunner{geometry}.shard_count(
+          SupWorld::instance().sim->population().size()) *
+      summary.days;
   EXPECT_EQ(summary.shard_attempts - failed, shard_days);
 
   const auto* simulated = snap.find_counter("tl_exec_shards_simulated_total");
@@ -876,6 +888,125 @@ TEST(SupervisedSimulator, BooksSuccessfulAttemptsAndMergesAsExecStages) {
   EXPECT_EQ(simulated->value, shard_days);
   EXPECT_EQ(sim->count, shard_days);
   EXPECT_EQ(merge->count, shard_days);
+}
+
+TEST(SupervisedSimulator, RunsAtTheStudysThreadsAndGeometry) {
+  // Installing a supervisor changes how shard failures are handled, not how
+  // the day is cut: at the study's thread count a supervised run simulates
+  // and merges exactly the shards an unsupervised run does, and emits the
+  // same bytes.
+  SupWorld& w = SupWorld::instance();
+  struct Arm {
+    std::vector<std::uint8_t> record_bytes;
+    std::uint64_t shards = 0;
+    std::uint64_t merges = 0;
+  };
+  const auto run_arm = [&w](StudySupervisor* sup) {
+    obs::MetricsRegistry registry;
+    telemetry::SignalingDataset dataset;
+    {
+      obs::ScopedGlobalRegistry install{&registry};
+      w.sim->set_threads(2);
+      w.sim->restore(w.day0);
+      w.sim->set_supervisor(sup);
+      AttachedSink attached{*w.sim, dataset};
+      w.sim->run();
+    }
+    Arm arm;
+    for (const auto& record : dataset.records()) {
+      RecordLog::encode_record(record, arm.record_bytes);
+    }
+    const obs::MetricsSnapshot snap = registry.scrape();
+    if (const auto* c = snap.find_counter("tl_exec_shards_simulated_total")) {
+      arm.shards = c->value;
+    }
+    if (const auto* h = snap.find_histogram("tl_exec_shard_merge_seconds")) {
+      arm.merges = h->count;
+    }
+    return arm;
+  };
+
+  const Arm plain = run_arm(nullptr);
+  StudySupervisor sup{SupervisorOptions{}};
+  const Arm supervised = run_arm(&sup);
+
+  ASSERT_GT(plain.shards, 0u);
+  EXPECT_EQ(supervised.shards, plain.shards);
+  EXPECT_EQ(supervised.merges, plain.merges);
+  ASSERT_FALSE(plain.record_bytes.empty());
+  EXPECT_EQ(supervised.record_bytes, plain.record_bytes);
+}
+
+TEST(SupervisedSimulator, GivingUpMidDayRollsBackAndRerunsByteIdentically) {
+  // A strict supervisor gives up on day 1's last shard, possibly after the
+  // pipelined merge folded in the shards before it. run_day must roll the day
+  // back like any failed day, and re-running it under a quarantining
+  // supervisor must commit the WAL of a serial run that withdrew the poison
+  // UE from day 1 on.
+  SupWorld& w = SupWorld::instance();
+  auto& real = io::StdioFileSystem::instance();
+  const std::uint32_t poison = 1'399;  // the last UE: the last shard's range
+  TaskFaultConfig fc;
+  fc.poison_ues = {poison};
+  const TaskFaultInjector injector{fc};
+
+  TempDir ref_dir{"giveup_ref"};
+  {
+    RecordLog::Options opt;
+    opt.directory = ref_dir.path;
+    RecordLog log{real, opt};
+    telemetry::DurableRecordSink sink{log};
+    log.open();
+    w.sim->set_supervisor(nullptr);
+    w.sim->set_threads(1);
+    w.sim->restore(w.day0);
+    AttachedSink attached{*w.sim, sink};
+    w.sim->run_day(0);
+    w.sim->set_quarantined_ues({poison});
+    w.sim->run_day(1);
+  }
+  const std::string ref_bytes = log_bytes(ref_dir.path);
+  ASSERT_FALSE(ref_bytes.empty());
+
+  SupervisorOptions strict_opt;
+  strict_opt.quarantine_enabled = false;
+  strict_opt.injector = &injector;
+  StudySupervisor strict{strict_opt};
+  SupervisorOptions lenient_opt;
+  lenient_opt.injector = &injector;
+  StudySupervisor lenient{lenient_opt};
+
+  TempDir dir{"giveup"};
+  {
+    RecordLog::Options opt;
+    opt.directory = dir.path;
+    RecordLog log{real, opt};
+    telemetry::DurableRecordSink sink{log};
+    log.open();
+    w.sim->set_threads(2);
+    w.sim->restore(w.day0);
+    AttachedSink attached{*w.sim, sink};
+    w.sim->run_day(0);  // unsupervised: the poison channel stays silent
+
+    ASSERT_EQ(log.last_committed_day(), 0);
+    const std::uint64_t records_before = w.sim->records_emitted();
+    const std::uint64_t handovers_before = w.sim->core_network().total_handovers();
+    const auto state_before = core::encode_checkpoint(w.sim->checkpoint());
+
+    w.sim->set_supervisor(&strict);
+    EXPECT_THROW(w.sim->run_day(1), SupervisionError);
+    EXPECT_EQ(log.last_committed_day(), 0);
+    EXPECT_EQ(w.sim->records_emitted(), records_before);
+    EXPECT_EQ(w.sim->core_network().total_handovers(), handovers_before);
+    EXPECT_EQ(w.sim->next_day(), 1);
+    EXPECT_EQ(log.buffered_records(), 0u);
+    EXPECT_EQ(core::encode_checkpoint(w.sim->checkpoint()), state_before);
+
+    w.sim->set_supervisor(&lenient);
+    w.sim->run_day(1);
+    EXPECT_EQ(w.sim->quarantined_ues(), std::vector<devices::UeId>{poison});
+  }
+  EXPECT_EQ(log_bytes(dir.path), ref_bytes);
 }
 
 // --- kill/resume under a supervised fault storm ------------------------------
@@ -913,16 +1044,15 @@ TEST(SupervisedChaos, KillResumeUnderFaultStormYieldsIdenticalWal) {
   const TaskFaultInjector injector{fc};
 
   SupervisorOptions sup_opt;
-  sup_opt.threads = 2;
-  sup_opt.shards_per_thread = 2;
-  sup_opt.backoff_initial_ms = 1;
-  sup_opt.backoff_cap_ms = 4;
+  sup_opt.retry.backoff_initial_ms = 1;
+  sup_opt.retry.backoff_cap_ms = 4;
   sup_opt.injector = &injector;
   StudySupervisor sup{sup_opt};
 
   Simulator sim{cfg};
   DayCheckpoint day0;
   day0.seed = cfg.seed;
+  sim.set_threads(2);
   sim.set_supervisor(&sup);
 
   // Reference: supervised storm through a fault-free decorated filesystem.
@@ -1041,24 +1171,6 @@ TEST(CheckpointQuarantine, RejectsNonCanonicalQuarantineList) {
   const auto bytes = core::encode_checkpoint(cp);
   EXPECT_THROW(core::decode_checkpoint(bytes), std::runtime_error);
 }
-
-TEST(CheckpointQuarantine, TextCheckpointRoundTripsTheQuarantineSet) {
-  SupWorld& w = SupWorld::instance();
-  TempDir dir{"text_cp"};
-  const std::string path = dir.path + "/study.ckpt";
-  fs::create_directories(dir.path);
-
-  w.sim->set_supervisor(nullptr);
-  w.sim->restore(w.day0);
-  w.sim->set_quarantined_ues({30, 2});
-  w.sim->save_checkpoint(path);
-
-  w.sim->set_quarantined_ues({});
-  ASSERT_TRUE(w.sim->load_checkpoint(path));
-  EXPECT_EQ(w.sim->quarantined_ues(), (std::vector<devices::UeId>{2, 30}));
-  w.sim->set_quarantined_ues({});
-}
-
 
 // --- run_with_retries: the single-operation slice of the retry ladder -------
 
