@@ -251,12 +251,16 @@ void Simulator::run_day(int day) {
   resolve_obs();
   obs::ScopedTimer day_span{obs_day_seconds_};
   // The day is transactional: if anything below throws — a sink mid-day, a
-  // failed durable commit, a shard failure or a supervisor giving up, after
-  // the pipelined merge may have folded in earlier shards — the simulator
-  // state rolls back to the day's start, so a later retry (or a resumed
-  // process) replays the day exactly once instead of double-counting the
-  // partial attempt. The quarantine set deliberately survives the rollback:
-  // it is discovered deterministically and a re-run would re-derive it.
+  // failed durable write or commit, a shard failure or a supervisor giving
+  // up, after the pipelined merge may have folded in earlier shards — the
+  // simulator state rolls back to the day's start, so a later retry (or a
+  // resumed process) replays the day exactly once instead of double-counting
+  // the partial attempt. The durable log streams the day as it merges, so
+  // its rollback is discard_day(): no I/O here, the staged frames dropped
+  // and any already written cut back to the last marker by the log's next
+  // write (or by recovery on re-open). The quarantine set deliberately
+  // survives the rollback: it is discovered deterministically and a re-run
+  // would re-derive it.
   const corenet::CoreNetwork core_before = core_;
   const std::uint64_t emitted_before = records_emitted_;
   try {

@@ -12,7 +12,7 @@
 // Pieces, and the determinism argument for each:
 //
 //  - MemoryBudget: a byte-accounted budget. Hot allocators (per-shard
-//    RecordBuffers, the WAL day buffer, serve aggregates) register named
+//    RecordBuffers, the WAL writer's staging, serve aggregates) register named
 //    Accountants and report capacity deltas with relaxed atomics — the hot
 //    path never locks. Pressure is read at control-plane boundaries as a
 //    hysteretic level (Steady -> Elevated -> Critical): upgrades happen at

@@ -25,23 +25,16 @@ constexpr std::size_t kMarkerFixedSize = 24;
 using util::get_u16;
 using util::get_u32;
 using util::get_u64;
-using util::put_u16;
 using util::put_u32;
-using util::put_u64;
-using util::put_u8;
+using util::store_u16;
+using util::store_u32;
+using util::store_u64;
 
-/// Writes `data` in `chunk` slices, treating any short write as a failed
-/// durable write (ENOSPC-style): the commit must not pretend it happened.
-void write_fully(io::File& file, std::span<const std::uint8_t> data,
-                 std::size_t chunk) {
-  std::size_t offset = 0;
-  while (offset < data.size()) {
-    const std::size_t n = std::min(chunk, data.size() - offset);
-    const std::size_t written = file.write(data.data() + offset, n);
-    if (written < n) {
-      throw io::IoError{"record log: short write (device full?)"};
-    }
-    offset += n;
+/// Writes `data` in one call, treating a short write as a failed durable
+/// write (ENOSPC-style): the commit must not pretend it happened.
+void write_fully(io::File& file, std::span<const std::uint8_t> data) {
+  if (file.write(data.data(), data.size()) < data.size()) {
+    throw io::IoError{"record log: short write (device full?)"};
   }
 }
 
@@ -103,6 +96,8 @@ RecordLog::RecordLog(io::FileSystem& fs, Options options)
   if (options_.max_segment_bytes < kSegmentHeaderSize + kFrameHeaderSize) {
     throw std::invalid_argument{"RecordLog: max_segment_bytes too small"};
   }
+  // Below one full chunk, a record frame always fits behind the staged bytes.
+  staging_.resize(options_.write_chunk_bytes + kRecordFrameSize);
 }
 
 RecordLog::~RecordLog() { govern_account_.sub(accounted_bytes_); }
@@ -167,7 +162,7 @@ void RecordLog::sync_govern_account() {
     govern_account_ = govern::account("wal_day_buffer");
     accounted_bytes_ = 0;
   }
-  const std::uint64_t bytes = day_buffer_.capacity();
+  const std::uint64_t bytes = staging_.capacity();
   if (bytes >= accounted_bytes_) {
     govern_account_.add(bytes - accounted_bytes_);
   } else {
@@ -182,31 +177,58 @@ void RecordLog::write_segment_header(io::File& file, std::uint32_t index) {
   header.insert(header.end(), kMagic, kMagic + sizeof kMagic);
   put_u32(header, index);
   put_u32(header, util::mask_crc32c(util::crc32c(header.data(), header.size())));
-  write_fully(file, header, options_.write_chunk_bytes);
+  write_fully(file, header);
   file.sync();
   obs_segments_.inc();
   obs_fsyncs_.inc();
 }
 
-void RecordLog::append_frame(std::uint8_t type, std::span<const std::uint8_t> payload) {
-  put_u32(day_buffer_, static_cast<std::uint32_t>(payload.size()));
-  std::uint32_t crc = util::crc32c(&type, 1);
-  crc = util::crc32c(payload.data(), payload.size(), crc);
-  put_u32(day_buffer_, util::mask_crc32c(crc));
-  put_u8(day_buffer_, type);
-  day_buffer_.insert(day_buffer_.end(), payload.begin(), payload.end());
+void RecordLog::write_staged(std::size_t n) {
+  if (truncate_pending_) {
+    // A discarded day's frames sit past the last marker: cut them before
+    // this day's first byte lands, so the segment reads as if that day had
+    // never been appended.
+    current_->close();
+    current_.reset();
+    fs_.truncate(segment_path(segment_index_), segment_size_);
+    current_ = fs_.open(segment_path(segment_index_), io::OpenMode::kAppend);
+    truncate_pending_ = false;
+  }
+  write_fully(*current_, {staging_.data(), n});
+  streamed_ += n;
+  staged_ -= n;
+  std::memmove(staging_.data(), staging_.data() + n, staged_);
+}
+
+void RecordLog::stage(std::span<const std::uint8_t> bytes) {
+  const std::size_t chunk = options_.write_chunk_bytes;
+  while (!bytes.empty()) {
+    const std::size_t take = std::min(bytes.size(), chunk - staged_);
+    std::memcpy(staging_.data() + staged_, bytes.data(), take);
+    staged_ += take;
+    bytes = bytes.subspan(take);
+    if (staged_ == chunk) write_staged(chunk);
+  }
 }
 
 void RecordLog::append(const HandoverRecord& record) {
   if (!open_) throw std::logic_error{"RecordLog::append: log not open"};
-  std::vector<std::uint8_t> payload;
-  payload.reserve(kRecordEncodedSize);
-  encode_record(record, payload);
-  append_frame(kRecordFrame, payload);
+  // Framed in place: length, masked CRC, type, payload. The CRC covers the
+  // type byte and the payload, which sit next to each other.
+  std::uint8_t* frame = staging_.data() + staged_;
+  store_u32(frame, kRecordEncodedSize);
+  frame[8] = kRecordFrame;
+  encode_record(record, frame + kFrameHeaderSize);
+  store_u32(frame + 4,
+            util::mask_crc32c(util::crc32c(frame + 8, 1 + kRecordEncodedSize)));
+  staged_ += kRecordFrameSize;
   ++buffered_records_;
-  // Cheap guard (capacity compare) on the hot path; the accountant is only
-  // touched when the buffer actually grew.
-  if (day_buffer_.capacity() != accounted_bytes_) sync_govern_account();
+  if (staged_ < options_.write_chunk_bytes) return;
+  // A failed write leaves the segment indeterminate: disarm until it lands,
+  // exactly as a failed commit does.
+  open_ = false;
+  while (staged_ >= options_.write_chunk_bytes) write_staged(options_.write_chunk_bytes);
+  open_ = true;
 }
 
 void RecordLog::commit_day(int day, std::span<const std::uint8_t> app_state) {
@@ -217,46 +239,49 @@ void RecordLog::commit_day(int day, std::span<const std::uint8_t> app_state) {
                            " already committed (last: " +
                            std::to_string(last_committed_day_) + ")"};
   }
-  std::vector<std::uint8_t> marker;
-  marker.reserve(kMarkerFixedSize + app_state.size());
-  put_u32(marker, static_cast<std::uint32_t>(day));
-  put_u64(marker, buffered_records_);
-  put_u64(marker, committed_records_ + buffered_records_);
-  put_u32(marker, static_cast<std::uint32_t>(app_state.size()));
-  marker.insert(marker.end(), app_state.begin(), app_state.end());
-  append_frame(kDayMarkerFrame, marker);
+  std::uint8_t marker[kFrameHeaderSize + kMarkerFixedSize];
+  std::uint8_t* fixed = marker + kFrameHeaderSize;
+  store_u32(fixed, static_cast<std::uint32_t>(day));
+  store_u64(fixed + 4, buffered_records_);
+  store_u64(fixed + 12, committed_records_ + buffered_records_);
+  store_u32(fixed + 20, static_cast<std::uint32_t>(app_state.size()));
+  marker[8] = kDayMarkerFrame;
+  const std::uint32_t crc = util::crc32c(app_state.data(), app_state.size(),
+                                         util::crc32c(marker + 8, 1 + kMarkerFixedSize));
+  store_u32(marker, static_cast<std::uint32_t>(kMarkerFixedSize + app_state.size()));
+  store_u32(marker + 4, util::mask_crc32c(crc));
 
   // Disarm until the commit (and any segment roll) fully succeeds: if an
   // exception escapes below, the on-disk state is indeterminate and the
   // caller must re-open (recovery discards whatever partially landed).
   open_ = false;
   obs::ScopedTimer commit_span{obs_commit_seconds_};
-  write_fully(*current_, day_buffer_, options_.write_chunk_bytes);
+  stage(marker);
+  stage(app_state);
+  if (staged_ > 0) write_staged(staged_);
   current_->sync();  // the day marker reaching disk IS the commit point
   commit_span.stop();
   obs_fsyncs_.inc();
-  obs_bytes_.inc(day_buffer_.size());
+  obs_bytes_.inc(streamed_);
   obs_records_.inc(buffered_records_);
 
-  segment_size_ += day_buffer_.size();
+  segment_size_ += streamed_;
   committed_records_ += buffered_records_;
   last_committed_day_ = day;
-  // Release the day buffer's capacity now that the day is durable: holding
-  // a committed day's worth of staging forever is exactly the unbounded
-  // footprint the governor exists to prevent. The swap cannot throw.
-  std::vector<std::uint8_t>().swap(day_buffer_);
-  sync_govern_account();
+  streamed_ = 0;
   buffered_records_ = 0;
+  sync_govern_account();
   if (segment_size_ >= options_.max_segment_bytes) roll_segment();
   open_ = true;
 }
 
 void RecordLog::discard_day() noexcept {
-  std::vector<std::uint8_t>().swap(day_buffer_);
-  // noexcept path: settle the accountant directly (no epoch re-resolution,
-  // which may allocate); every Accountant operation is noexcept.
-  govern_account_.sub(accounted_bytes_);
-  accounted_bytes_ = 0;
+  // No I/O: this runs inside run_day's rollback, where a crashed filesystem
+  // throws on every call. Bytes of the day already in the segment are cut
+  // by the next write (or by open()'s recovery if the log closes first).
+  truncate_pending_ = truncate_pending_ || streamed_ > 0;
+  staged_ = 0;
+  streamed_ = 0;
   buffered_records_ = 0;
 }
 
@@ -456,9 +481,11 @@ LogRecoveryReport RecordLog::open() {
   resolve_obs();
   open_ = false;
   current_.reset();
-  std::vector<std::uint8_t>().swap(day_buffer_);
-  sync_govern_account();
+  staged_ = 0;
+  streamed_ = 0;
+  truncate_pending_ = false;
   buffered_records_ = 0;
+  sync_govern_account();
 
   fs_.create_directories(options_.directory);
   if (!options_.mirror_directory.empty()) {
@@ -688,25 +715,31 @@ TailReadResult RecordLog::follow(io::FileSystem& fs, const std::string& director
 
 // --- record codec ------------------------------------------------------------
 
+void RecordLog::encode_record(const HandoverRecord& r, std::uint8_t* out) noexcept {
+  store_u64(out, static_cast<std::uint64_t>(r.timestamp));
+  store_u64(out + 8, r.anon_user_id);
+  store_u32(out + 16, r.source_sector);
+  store_u32(out + 20, r.target_sector);
+  store_u32(out + 24, std::bit_cast<std::uint32_t>(r.duration_ms));
+  store_u32(out + 28, r.postcode);
+  store_u32(out + 32, r.district);
+  store_u16(out + 36, r.cause);
+  store_u16(out + 38, r.manufacturer);
+  out[40] = r.success ? 1 : 0;
+  out[41] = static_cast<std::uint8_t>(r.source_rat);
+  out[42] = static_cast<std::uint8_t>(r.target_rat);
+  out[43] = static_cast<std::uint8_t>(r.device_type);
+  out[44] = static_cast<std::uint8_t>(r.area);
+  out[45] = static_cast<std::uint8_t>(r.region);
+  out[46] = static_cast<std::uint8_t>(r.vendor);
+  out[47] = r.srvcc ? 1 : 0;
+  out[48] = r.attempt;
+}
+
 void RecordLog::encode_record(const HandoverRecord& r, std::vector<std::uint8_t>& out) {
-  put_u64(out, static_cast<std::uint64_t>(r.timestamp));
-  put_u64(out, r.anon_user_id);
-  put_u32(out, r.source_sector);
-  put_u32(out, r.target_sector);
-  put_u32(out, std::bit_cast<std::uint32_t>(r.duration_ms));
-  put_u32(out, r.postcode);
-  put_u32(out, r.district);
-  put_u16(out, r.cause);
-  put_u16(out, r.manufacturer);
-  put_u8(out, r.success ? 1 : 0);
-  put_u8(out, static_cast<std::uint8_t>(r.source_rat));
-  put_u8(out, static_cast<std::uint8_t>(r.target_rat));
-  put_u8(out, static_cast<std::uint8_t>(r.device_type));
-  put_u8(out, static_cast<std::uint8_t>(r.area));
-  put_u8(out, static_cast<std::uint8_t>(r.region));
-  put_u8(out, static_cast<std::uint8_t>(r.vendor));
-  put_u8(out, r.srvcc ? 1 : 0);
-  put_u8(out, r.attempt);
+  const std::size_t at = out.size();
+  out.resize(at + kRecordEncodedSize);
+  encode_record(r, out.data() + at);
 }
 
 HandoverRecord RecordLog::decode_record(std::span<const std::uint8_t> payload) {

@@ -7,10 +7,13 @@
 // reality there. This module makes the bytes on disk trustworthy:
 //
 //  - RecordLog: a segmented, length-prefixed, CRC32C-framed binary
-//    write-ahead log of HandoverRecords. Records buffer in memory for the
-//    current study day; commit_day() appends the day's record frames plus a
+//    write-ahead log of HandoverRecords. The open study day streams: each
+//    record is framed in place into a staging buffer of write_chunk_bytes,
+//    which goes to the active segment whenever it fills, so the writer's
+//    memory does not grow with the day. commit_day() writes the rest plus a
 //    *day commit marker* (which embeds an opaque application checkpoint),
-//    then flushes and fsyncs — the marker hitting disk IS the commit point.
+//    then fsyncs — the marker hitting disk IS the commit point; the frames
+//    before it are an uncommitted tail until then, which recovery drops.
 //  - Recovery: open() scans segments front to back, stops at the first
 //    invalid byte (bad CRC, truncated frame, torn header), truncates the
 //    log back to the last committed day marker, and reports exactly what
@@ -162,8 +165,10 @@ class RecordLog {
     /// Commit-aligned segment roll threshold: a segment that reaches this
     /// size after a commit is sealed and a fresh one is started.
     std::uint64_t max_segment_bytes = 64ull << 20;
-    /// Commits stream the day buffer in chunks of this size, so a crash can
-    /// land between any two chunks (more torn-write surface for chaos).
+    /// Size of the staging buffer and of every write: the open day reaches
+    /// the segment in chunks of exactly this many bytes (the last one of a
+    /// commit may be shorter), so the writer holds at most one chunk plus
+    /// one frame, and a crash can land between any two chunks.
     std::size_t write_chunk_bytes = 4096;
     /// Opt-in segment mirroring: when set, every segment is copied here at
     /// seal time (tmp + fsync + rename, read back and CRC-verified), and
@@ -193,20 +198,25 @@ class RecordLog {
   /// Report of the most recent open().
   const LogRecoveryReport& recovery() const noexcept { return recovery_; }
 
-  /// Buffers one record for the current day. No I/O happens here.
+  /// Frames one record of the current day into the staging buffer, and
+  /// writes the buffer's first write_chunk_bytes to the segment when it
+  /// fills. Allocates nothing. A failed write disarms the log, as a failed
+  /// commit does (re-open to recover), and the error propagates.
   void append(const HandoverRecord& record);
 
-  /// Durably commits the buffered day: record frames + a day marker carrying
-  /// `app_state` (e.g. a serialized simulator checkpoint), chunk-written,
-  /// flushed and fsynced. On any I/O failure the log disarms (recovery on
-  /// the next open() discards the partial commit) and the error propagates.
-  /// Days must be committed in increasing order.
+  /// Durably commits the open day: writes the staged rest of its record
+  /// frames and a day marker carrying `app_state` (e.g. a serialized
+  /// simulator checkpoint), then fsyncs. On any I/O failure the log disarms
+  /// (recovery on the next open() discards the partial day) and the error
+  /// propagates. Days must be committed in increasing order.
   void commit_day(int day, std::span<const std::uint8_t> app_state);
 
-  /// Drops the buffered, not-yet-committed day without any I/O. The
-  /// simulator's day-rollback path calls this when a day aborts after some
-  /// records were already appended — otherwise the next commit_day would
-  /// smuggle the aborted day's partial records into a later day's frame.
+  /// Drops the open day without any I/O. The simulator's day-rollback path
+  /// calls this when a day aborts after some records were already appended
+  /// — otherwise the next commit_day would smuggle the aborted day's partial
+  /// records into a later day. The staged bytes are dropped; frames that
+  /// already reached the segment are truncated back to the last marker by
+  /// the next write, or by open()'s recovery if the log is closed first.
   void discard_day() noexcept;
 
   int last_committed_day() const noexcept { return last_committed_day_; }
@@ -230,9 +240,9 @@ class RecordLog {
   /// of the log into `sink` (records first, then on_day_end), advancing the
   /// cursor past each day marker as it is delivered — whole days, exactly
   /// once, across any number of calls and process restarts (persist the
-  /// cursor to resume). Safe to call while a writer is appending: the day
-  /// buffered past the last marker is reported as kPending, never torn and
-  /// never delivered twice. Delivers at most `max_days` days per call so a
+  /// cursor to resume). Safe to call while a writer is appending: the open
+  /// day streamed past the last marker is reported as kPending, never torn
+  /// and never delivered twice. Delivers at most `max_days` days per call so a
   /// supervised poll loop keeps bounded latency (kMore = call again).
   ///
   /// Throws io::IoError when the chain is corrupt in a way bytes cannot
@@ -265,7 +275,12 @@ class RecordLog {
   static constexpr std::uint8_t kRecordFrame = 1;
   static constexpr std::uint8_t kDayMarkerFrame = 2;
   static constexpr std::size_t kRecordEncodedSize = 49;
+  static constexpr std::size_t kRecordFrameSize = kFrameHeaderSize + kRecordEncodedSize;
 
+  /// The one record payload encoder: writes kRecordEncodedSize bytes at
+  /// `out`. Allocates nothing.
+  static void encode_record(const HandoverRecord& record, std::uint8_t* out) noexcept;
+  /// Appends the payload to `out`.
   static void encode_record(const HandoverRecord& record,
                             std::vector<std::uint8_t>& out);
   /// Throws std::runtime_error on a malformed payload.
@@ -279,7 +294,11 @@ class RecordLog {
   struct Scan;
   static Scan scan(io::FileSystem& fs, const std::string& directory,
                    RecordSink* sink);
-  void append_frame(std::uint8_t type, std::span<const std::uint8_t> payload);
+  /// Copies `bytes` into the staging buffer, writing each chunk it fills.
+  void stage(std::span<const std::uint8_t> bytes);
+  /// Writes the first `n` staged bytes to the segment (truncating a
+  /// discarded day's frames away first) and keeps the rest staged.
+  void write_staged(std::size_t n);
   void roll_segment();
   /// Seal-time mirroring: copies the just-sealed segment into
   /// mirror_directory (atomic + CRC-verified). No-op when mirroring is off.
@@ -289,10 +308,10 @@ class RecordLog {
   /// Epoch-checked obs handle refresh; called at open() and commit_day()
   /// (both single-threaded boundaries). Logs outlive registry swaps.
   void resolve_obs();
-  /// Epoch-checked governor accountant refresh plus day-buffer capacity
-  /// sync. Same boundaries as resolve_obs; on a governor swap the counted
-  /// bytes restart from zero against the new slot (the obs contract: the
-  /// old governor is gone, its totals with it).
+  /// Epoch-checked governor accountant refresh plus staging capacity sync.
+  /// Same boundaries as resolve_obs; on a governor swap the counted bytes
+  /// restart from zero against the new slot (the obs contract: the old
+  /// governor is gone, its totals with it).
   void sync_govern_account();
 
   io::FileSystem& fs_;
@@ -302,15 +321,21 @@ class RecordLog {
 
   std::unique_ptr<io::File> current_;  // append handle for the tail segment
   std::uint32_t segment_index_ = 0;
-  std::uint64_t segment_size_ = 0;
+  std::uint64_t segment_size_ = 0;  // committed bytes: just past the last marker
 
   int last_committed_day_ = -1;
   std::uint64_t committed_records_ = 0;
 
-  std::vector<std::uint8_t> day_buffer_;  // framed records of the open day
+  // The open day: frames not yet written (one chunk plus one record frame
+  // of capacity, allocated once), the bytes of it already written past
+  // segment_size_, and whether a discarded day left such bytes behind.
+  std::vector<std::uint8_t> staging_;
+  std::size_t staged_ = 0;
+  std::uint64_t streamed_ = 0;
+  bool truncate_pending_ = false;
   std::size_t buffered_records_ = 0;
 
-  govern::Accountant govern_account_;  // day-buffer capacity, "wal_day_buffer"
+  govern::Accountant govern_account_;  // staging capacity, "wal_day_buffer"
   std::uint64_t govern_epoch_ = UINT64_MAX;
   std::uint64_t accounted_bytes_ = 0;
 
@@ -404,7 +429,7 @@ class SegmentReader {
   std::optional<SegmentStop> stop_;
 };
 
-/// RecordSink adapter: buffers each simulated day into a RecordLog and
+/// RecordSink adapter: streams each simulated day into a RecordLog and
 /// commits it at on_day_end. When a checkpoint provider is set (the
 /// simulator installs one), its bytes ride inside the day marker, making
 /// "records through day D" and "resume state after day D" one atomic unit.

@@ -2,13 +2,16 @@
 
 // Little-endian byte codec shared by every binary format in the tree: the
 // WAL frames and day markers, the checkpoint codec, the serve checkpoint,
-// and the aggregate and sketch serializations. Writers append to a byte
-// vector; readers either decode at a pointer the caller has bounds-checked
-// (get_*) or walk a span through ByteReader, which checks every read.
+// and the aggregate and sketch serializations. Writers either append to a
+// byte vector (put_*) or encode at a pointer the caller has sized (store_*,
+// for hot paths that must not allocate); readers either decode at a pointer
+// the caller has bounds-checked (get_*) or walk a span through ByteReader,
+// which checks every read.
 
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -33,6 +36,22 @@ inline void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
 inline void put_f64(std::vector<std::uint8_t>& out, double v) {
   put_u64(out, std::bit_cast<std::uint64_t>(v));
 }
+
+/// Stores `v` little-endian at `p`: one plain store on little-endian hosts.
+template <typename T>
+inline void store_le(std::uint8_t* p, T v) noexcept {
+  if constexpr (std::endian::native != std::endian::little) {
+    for (std::size_t i = 0; i < sizeof v; ++i) {
+      p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+  } else {
+    std::memcpy(p, &v, sizeof v);
+  }
+}
+
+inline void store_u16(std::uint8_t* p, std::uint16_t v) noexcept { store_le(p, v); }
+inline void store_u32(std::uint8_t* p, std::uint32_t v) noexcept { store_le(p, v); }
+inline void store_u64(std::uint8_t* p, std::uint64_t v) noexcept { store_le(p, v); }
 
 inline std::uint16_t get_u16(const std::uint8_t* p) {
   return static_cast<std::uint16_t>(p[0] | (p[1] << 8));

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
@@ -17,6 +18,7 @@
 
 #include "core/checkpoint_codec.hpp"
 #include "core/simulator.hpp"
+#include "govern/governor.hpp"
 #include "io/faulty_file.hpp"
 #include "io/file.hpp"
 #include "metrics_log.hpp"
@@ -171,6 +173,37 @@ TEST(Crc32c, MaskRoundTripAndDisplacement) {
     EXPECT_EQ(util::unmask_crc32c(masked), crc);
     // Masking exists so a CRC stored in CRC'd data never matches itself.
     EXPECT_NE(masked, crc);
+  }
+}
+
+TEST(Crc32c, HardwarePathMatchesPortableReference) {
+  // crc32c() runs on the CPU's CRC32C instruction where there is one; the
+  // portable slice-by-8 is the reference. Every length 0-256 at each of the
+  // 8 alignments, each call continuing from the previous result.
+  RecordProperty("hardware", util::crc32c_hardware() ? "yes" : "no");
+  util::Rng rng{0xC3C32ULL};
+  std::vector<std::uint8_t> bytes(256 + 8);
+  for (auto& b : bytes) b = static_cast<std::uint8_t>(rng());
+  std::uint32_t seed = 0x9E3779B9u;
+  for (std::size_t align = 0; align < 8; ++align) {
+    for (std::size_t len = 0; len <= 256; ++len) {
+      const std::uint8_t* p = bytes.data() + align;
+      const std::uint32_t crc = util::crc32c(p, len, seed);
+      ASSERT_EQ(crc, util::crc32c_portable(p, len, seed))
+          << "length " << len << ", alignment " << align;
+      seed = crc | 1u;  // chained, never zero
+    }
+  }
+
+  // Crc32c.KnownAnswerVectors, against both paths.
+  using Crc = std::uint32_t (*)(const void*, std::size_t, std::uint32_t) noexcept;
+  for (const Crc crc32c : {Crc{util::crc32c}, Crc{util::crc32c_portable}}) {
+    EXPECT_EQ(crc32c("123456789", 9, 0), 0xE3069283u);
+    const std::vector<std::uint8_t> zeros(32, 0x00);
+    EXPECT_EQ(crc32c(zeros.data(), zeros.size(), 0), 0x8A9136AAu);
+    const std::vector<std::uint8_t> ones(32, 0xFF);
+    EXPECT_EQ(crc32c(ones.data(), ones.size(), 0), 0x62A8AB43u);
+    EXPECT_EQ(crc32c("", 0, 0), 0u);
   }
 }
 
@@ -645,6 +678,115 @@ TEST(RecordLogTest, RegressingDayMarkerIsCorruptionForRecoveryAndReplay) {
   const telemetry::SegmentAudit audit = telemetry::audit_segment(real, seg0, 0);
   ASSERT_TRUE(audit.has_defect);
   EXPECT_EQ(audit.defect, telemetry::DefectClass::kMarkerMismatch);
+}
+
+TEST(RecordLogTest, WriterMemoryIsBoundedByTheWriteChunk) {
+  // The open day streams to its segment a chunk at a time, so the writer's
+  // staging (the "wal_day_buffer" account) stays one chunk plus one frame
+  // however long the day runs.
+  TempDir tmp{"log_bounded"};
+  auto& real = io::StdioFileSystem::instance();
+  govern::MemoryBudget budget;  // budget 0: accounting only
+  govern::ScopedGlobalGovernor install{&budget};
+  govern::Accountant staging = budget.accountant("wal_day_buffer");
+  // An empty fault plan: the decorator only counts writes on the seam.
+  io::FaultyFileSystem ffs{real, io::IoFaultPlan{}, 0};
+  RecordLog::Options opt;
+  opt.directory = tmp.path;
+  opt.write_chunk_bytes = 4096;
+  RecordLog log{ffs, opt};
+  log.open();
+
+  constexpr std::uint32_t kRecords = 20'000;  // 1.16 MB of frames
+  const std::uint64_t bound = 2 * (opt.write_chunk_bytes + RecordLog::kRecordFrameSize);
+  const std::uint64_t ops_before = ffs.ops();
+  std::uint64_t peak = 0;
+  for (std::uint32_t i = 0; i < kRecords; ++i) {
+    log.append(make_record(0, i));
+    peak = std::max(peak, staging.bytes());
+    ASSERT_LE(staging.bytes(), bound) << "after record " << i;
+  }
+  EXPECT_GT(peak, 0u);  // the staging buffer is accounted
+  EXPECT_EQ(log.buffered_records(), kRecords);
+  // Before its commit, every full chunk of the day went to the segment.
+  EXPECT_EQ(ffs.ops() - ops_before,
+            kRecords * RecordLog::kRecordFrameSize / opt.write_chunk_bytes);
+
+  log.commit_day(0, {});
+  EXPECT_LE(staging.bytes(), bound);
+  const std::vector<HandoverRecord> back = RecordLog::read_all(real, tmp.path);
+  ASSERT_EQ(back.size(), kRecords);
+  for (std::uint32_t i = 0; i < kRecords; i += 997) {
+    expect_record_eq(back[i], make_record(0, i), i);
+  }
+}
+
+TEST(RecordLogTest, DiscardedStreamedDayIsTruncatedBeforeTheNextWrite) {
+  auto& real = io::StdioFileSystem::instance();
+  constexpr std::uint32_t kRecords = 40;  // 2,320 bytes: 36 chunks of 64
+  const auto options = [](const std::string& dir) {
+    RecordLog::Options opt;
+    opt.directory = dir;
+    opt.write_chunk_bytes = 64;
+    return opt;
+  };
+  const auto append_day = [](RecordLog& log, int day) {
+    for (std::uint32_t i = 0; i < kRecords; ++i) log.append(make_record(day, i));
+  };
+
+  // The oracle: the same two days, never discarded.
+  TempDir ref{"log_discard_ref"};
+  {
+    RecordLog log{real, options(ref.path)};
+    log.open();
+    append_day(log, 0);
+    log.commit_day(0, {});
+    append_day(log, 1);
+    log.commit_day(1, {});
+  }
+
+  // Arm 1: day 1 streams, is discarded, then runs again and commits.
+  TempDir tmp{"log_discard"};
+  {
+    io::FaultyFileSystem ffs{real, io::IoFaultPlan{}, 0};  // counts writes only
+    RecordLog log{ffs, options(tmp.path)};
+    log.open();
+    append_day(log, 0);
+    log.commit_day(0, {});
+    const std::uint64_t ops_before = ffs.ops();
+    append_day(log, 1);
+    ASSERT_EQ(ffs.ops() - ops_before, kRecords * RecordLog::kRecordFrameSize / 64);
+    log.discard_day();
+    EXPECT_EQ(log.buffered_records(), 0u);
+    append_day(log, 1);
+    log.commit_day(1, {});
+  }
+  EXPECT_EQ(log_bytes(tmp.path), log_bytes(ref.path));
+
+  // Arm 2: the log closes after the discard; recovery drops the tail.
+  TempDir closed{"log_discard_closed"};
+  {
+    RecordLog log{real, options(closed.path)};
+    log.open();
+    append_day(log, 0);
+    log.commit_day(0, {});
+    append_day(log, 1);
+    log.discard_day();
+  }
+  RecordLog log{real, options(closed.path)};
+  const LogRecoveryReport rep = log.open();
+  EXPECT_EQ(rep.last_committed_day, 0);
+  EXPECT_EQ(rep.committed_records, kRecords);
+  EXPECT_GT(rep.dropped_records, 0u);
+  struct DaySink final : telemetry::RecordSink {
+    std::uint64_t records = 0;
+    std::vector<int> days;
+    void consume(const HandoverRecord&) override { ++records; }
+    void on_day_end(int day) override { days.push_back(day); }
+  } replayed;
+  EXPECT_EQ(RecordLog::replay(real, closed.path, replayed), kRecords);
+  EXPECT_EQ(replayed.records, kRecords);
+  EXPECT_EQ(replayed.days, std::vector<int>{0});
 }
 
 // --- binary checkpoint codec -------------------------------------------------
