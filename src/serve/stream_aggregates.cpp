@@ -51,20 +51,25 @@ StreamAggregates::Tally read_tally(util::ByteReader& r) {
   return t;
 }
 
-void put_tally_map(std::vector<std::uint8_t>& out,
-                   const std::map<std::uint32_t, StreamAggregates::Tally>& m) {
-  put_u64(out, m.size());
-  for (const auto& [key, tally] : m) {
+/// Writes the entries in ascending key order: the bytes are a function of
+/// the contents, not of the hash map's iteration order.
+void put_tally_map(std::vector<std::uint8_t>& out, const StreamAggregates::TallyMap& m) {
+  std::vector<std::pair<std::uint32_t, StreamAggregates::Tally>> entries(m.begin(), m.end());
+  std::sort(entries.begin(), entries.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  put_u64(out, entries.size());
+  for (const auto& [key, tally] : entries) {
     put_u32(out, key);
     put_tally(out, tally);
   }
 }
 
-std::map<std::uint32_t, StreamAggregates::Tally> read_tally_map(util::ByteReader& r) {
+StreamAggregates::TallyMap read_tally_map(util::ByteReader& r) {
   const std::uint64_t size = r.u64();
   // 20 bytes per entry: a size beyond the remaining bytes is garbage.
   if (size > (r.bytes.size() - r.pos) / 20) corrupt("map size");
-  std::map<std::uint32_t, StreamAggregates::Tally> m;
+  StreamAggregates::TallyMap m;
+  m.reserve(size);
   std::int64_t previous = -1;
   for (std::uint64_t i = 0; i < size; ++i) {
     const std::uint32_t key = r.u32();
@@ -173,14 +178,15 @@ void StreamAggregates::apply_degrade(const DegradeDecision& decision,
       decision.level >= DegradeLevel::kSketchOnly) {
     // First crossing below exact: shed the unbounded-cardinality maps, and
     // record exactly how much detail went — shed, never silently dropped.
+    // Assigning empty maps frees their bucket arrays too, not just the keys.
     event.shed_district_keys = open_.by_district.size();
     for (DayStats& day : window_) {
       event.shed_district_keys += day.by_district.size();
-      day.by_district.clear();
+      day.by_district = TallyMap{};
     }
-    open_.by_district.clear();
+    open_.by_district = TallyMap{};
     event.shed_sector_keys = sectors_.size();
-    sectors_.clear();
+    sectors_ = TallyMap{};
   }
   level_ = decision.level;
   open_.degrade_level = level_;
@@ -239,19 +245,26 @@ std::size_t StreamAggregates::stored_sketch_items() const noexcept {
 
 namespace {
 
+// The fixed terms of the estimate: the footprint of a DayStats and of the
+// instance itself. They are constants, not sizeof, so that the governor's
+// readings, and with them the degradation ladder, do not move with a
+// standard library's container layout.
+constexpr std::size_t kDayStatsBytes = 288;
+constexpr std::size_t kInstanceBytes = 552;
+
 std::size_t approximate_day_bytes(const StreamAggregates::DayStats& day) {
-  // ~64 B per rb-tree map node (key + tally + node overhead), 8 B per
+  // ~64 B per hash-map entry (key + tally + node and bucket overhead), 8 B per
   // stored sketch item plus ~48 B per sketch level vector, and the struct
   // itself. Deliberately a function of *sizes*, never capacities: restored
   // and uninterrupted replicas must report the same value.
-  return sizeof(StreamAggregates::DayStats) + day.by_district.size() * 64 +
+  return kDayStatsBytes + day.by_district.size() * 64 +
          day.durations.stored_items() * 8 + day.durations.levels() * 48;
 }
 
 }  // namespace
 
 std::size_t StreamAggregates::approximate_bytes() const noexcept {
-  std::size_t bytes = sizeof(StreamAggregates);
+  std::size_t bytes = kInstanceBytes;
   bytes += sectors_.size() * 64;
   bytes += approximate_day_bytes(open_);
   for (const DayStats& day : window_) bytes += approximate_day_bytes(day);

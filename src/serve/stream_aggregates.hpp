@@ -19,6 +19,11 @@
 //  - lifetime exact totals and a per-sector HO/HOF map that outlive the
 //    window (bounded by the sector universe, not the stream).
 //
+// The per-district and per-sector tallies are hash maps, so a record costs
+// two hash lookups rather than two tree walks; serialize() writes their
+// entries in ascending key order, so the bytes do not depend on the
+// container.
+//
 // report() merges the ring into one WindowReport: exact counters summed,
 // sketches merged, quantiles carrying a certified rank-error bound.
 //
@@ -56,6 +61,7 @@
 #include <functional>
 #include <map>
 #include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "analysis/quantile_sketch.hpp"
@@ -93,6 +99,9 @@ class StreamAggregates : public telemetry::RecordSink {
     }
   };
 
+  /// Tallies keyed by district or sector id.
+  using TallyMap = std::unordered_map<std::uint32_t, Tally>;
+
   /// One sealed (or in-progress) day of exact tallies plus its sketch.
   struct DayStats {
     explicit DayStats(std::size_t sketch_k) : durations(sketch_k) {}
@@ -101,7 +110,7 @@ class StreamAggregates : public telemetry::RecordSink {
     std::uint64_t failures = 0;
     std::array<Tally, 4> by_vendor{};  ///< indexed by topology::Vendor
     std::array<Tally, 3> by_target{};  ///< indexed by topology::ObservedRat
-    std::map<std::uint32_t, Tally> by_district;
+    TallyMap by_district;
     analysis::QuantileSketch durations;  ///< successful-HO signaling ms
     /// Level the day accumulated under, and the sketch-sampling modulus in
     /// force (1 = every successful HO inserted) — the declared basis the
@@ -153,9 +162,7 @@ class StreamAggregates : public telemetry::RecordSink {
   std::uint64_t days_sealed() const noexcept { return days_sealed_; }
   int last_sealed_day() const noexcept { return last_sealed_day_; }
   /// Per-source-sector lifetime tallies (bounded by the sector universe).
-  const std::map<std::uint32_t, Tally>& sectors() const noexcept {
-    return sectors_;
-  }
+  const TallyMap& sectors() const noexcept { return sectors_; }
 
   // --- the rolling window ---
   const std::deque<DayStats>& window() const noexcept { return window_; }
@@ -248,7 +255,7 @@ class StreamAggregates : public telemetry::RecordSink {
   std::uint64_t total_failures_ = 0;
   std::uint64_t days_sealed_ = 0;
   int last_sealed_day_ = -1;
-  std::map<std::uint32_t, Tally> sectors_;
+  TallyMap sectors_;
   std::deque<DayStats> window_;  ///< sealed days, oldest first
   DayStats open_;                ///< the day currently accumulating
   DegradeLevel level_ = DegradeLevel::kExact;

@@ -151,8 +151,11 @@ void WalTailer::load_checkpoint(const std::string& path) {
   cursor.records = get_u64(bytes.data() + 25);
   const std::uint64_t payload_len = get_u64(bytes.data() + 33);
   const std::uint64_t fixed_len = body - (kCheckpointOverhead - 4);
-  if (has_ledger ? payload_len + kLossLedgerMinBytes > fixed_len
-                 : payload_len != fixed_len) {
+  // Checked before any arithmetic on it: a huge length would wrap the sums
+  // below and point the ledger and aggregate reads past the file.
+  if (payload_len > fixed_len ||
+      (has_ledger ? payload_len + kLossLedgerMinBytes > fixed_len
+                  : payload_len != fixed_len)) {
     throw io::IoError{"serve checkpoint payload length mismatch: " + path};
   }
   std::vector<std::uint32_t> quarantined;

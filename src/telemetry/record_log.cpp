@@ -92,7 +92,7 @@ RecordLog::RecordLog(io::FileSystem& fs, Options options)
   if (options_.directory.empty()) {
     throw std::invalid_argument{"RecordLog: empty directory"};
   }
-  if (options_.write_chunk_bytes == 0) options_.write_chunk_bytes = 4096;
+  if (options_.write_chunk_bytes == 0) options_.write_chunk_bytes = kIoBlockBytes;
   if (options_.max_segment_bytes < kSegmentHeaderSize + kFrameHeaderSize) {
     throw std::invalid_argument{"RecordLog: max_segment_bytes too small"};
   }
@@ -319,6 +319,7 @@ SegmentReader::SegmentReader(io::FileSystem& fs, const std::string& path,
     : size_(fs.file_size(path)),
       position_(offset),
       marker_end_(offset),
+      block_offset_(offset),
       anchor_(anchor) {
   file_ = fs.open(path, io::OpenMode::kRead);
   if (offset > 0) {
@@ -332,18 +333,20 @@ SegmentReader::SegmentReader(io::FileSystem& fs, const std::string& path,
     }
     return;
   }
-  std::uint8_t header[RecordLog::kSegmentHeaderSize];
-  if (size_ < sizeof header || file_->read(header, sizeof header) != sizeof header) {
+  constexpr std::size_t kSegmentHeaderSize = RecordLog::kSegmentHeaderSize;
+  const std::uint8_t* header =
+      size_ < kSegmentHeaderSize ? nullptr : bytes_at(0, kSegmentHeaderSize);
+  if (header == nullptr) {
     fail(DefectClass::kTruncatedFrame, 0, size_);  // mid-creation, or cut short
     return;
   }
   if (std::memcmp(header, RecordLog::kMagic, sizeof RecordLog::kMagic) != 0 ||
       get_u32(header + 8) != index ||
       util::unmask_crc32c(get_u32(header + 12)) != util::crc32c(header, 12)) {
-    fail(DefectClass::kBadSegmentHeader, 0, sizeof header);
+    fail(DefectClass::kBadSegmentHeader, 0, kSegmentHeaderSize);
     return;
   }
-  position_ = marker_end_ = sizeof header;
+  position_ = marker_end_ = kSegmentHeaderSize;
 }
 
 bool SegmentReader::fail(DefectClass reason, std::uint64_t offset,
@@ -352,8 +355,29 @@ bool SegmentReader::fail(DefectClass reason, std::uint64_t offset,
   return false;
 }
 
+const std::uint8_t* SegmentReader::bytes_at(std::uint64_t at, std::size_t n) {
+  if (at + n <= block_offset_ + block_len_) return block_.data() + (at - block_offset_);
+  // Slide the bytes from `at` on to the front of the block and read on
+  // behind them: a block's worth, or the whole frame if it is larger, but
+  // never past the size the segment had when the reader opened it.
+  const auto keep = static_cast<std::size_t>(block_offset_ + block_len_ - at);
+  if (keep > 0) std::memmove(block_.data(), block_.data() + (at - block_offset_), keep);
+  block_offset_ = at;
+  block_len_ = keep;
+  const auto want = static_cast<std::size_t>(
+      std::min<std::uint64_t>(std::max(n, RecordLog::kIoBlockBytes), size_ - at));
+  if (block_.size() < want) block_.resize(want);
+  while (block_len_ < want) {
+    const std::size_t got = file_->read(block_.data() + block_len_, want - block_len_);
+    if (got == 0) break;  // the file ended early: a writer's recovery cut it
+    block_len_ += got;
+  }
+  return block_len_ >= n ? block_.data() : nullptr;
+}
+
 bool SegmentReader::next() {
   if (stop_) return false;
+  constexpr std::size_t kFrameHeaderSize = RecordLog::kFrameHeaderSize;
   const std::uint64_t at = position_;
   if (at == size_) {
     // Days never span segments, so records with no marker after them end
@@ -361,29 +385,25 @@ bool SegmentReader::next() {
     if (records_since_marker_ == 0) return false;
     return fail(DefectClass::kNoSealMarker, marker_end_, size_ - marker_end_);
   }
-  std::uint8_t fh[RecordLog::kFrameHeaderSize];
-  if (at + sizeof fh > size_ || file_->read(fh, sizeof fh) != sizeof fh) {
-    return fail(DefectClass::kTruncatedFrame, at, size_ - at);
-  }
-  const std::uint32_t len = get_u32(fh);
-  const std::uint32_t stored_crc = util::unmask_crc32c(get_u32(fh + 4));
-  type_ = fh[8];
+  const std::uint8_t* frame =
+      at + kFrameHeaderSize > size_ ? nullptr : bytes_at(at, kFrameHeaderSize);
+  if (frame == nullptr) return fail(DefectClass::kTruncatedFrame, at, size_ - at);
+  const std::uint32_t len = get_u32(frame);
   if (len > kMaxFrameLen) {
-    return fail(DefectClass::kBadFrameStructure, at, sizeof fh);  // can never heal
+    return fail(DefectClass::kBadFrameStructure, at, kFrameHeaderSize);  // can never heal
   }
-  const std::uint64_t end = at + sizeof fh + len;
-  if (end > size_) return fail(DefectClass::kTruncatedFrame, at, size_ - at);
-  payload_.resize(len);
-  if (file_->read(payload_.data(), len) != len) {
-    return fail(DefectClass::kTruncatedFrame, at, size_ - at);
-  }
+  const std::uint64_t end = at + kFrameHeaderSize + len;
+  frame = end > size_ ? nullptr : bytes_at(at, kFrameHeaderSize + len);
+  if (frame == nullptr) return fail(DefectClass::kTruncatedFrame, at, size_ - at);
   // A complete frame with a bad CRC is never an in-flight write: the writer
-  // lays every byte down in order, so only a crash or rot explains it.
-  std::uint32_t crc = util::crc32c(&type_, 1);
-  crc = util::crc32c(payload_.data(), len, crc);
-  if (crc != stored_crc) return fail(DefectClass::kBadFrameCrc, at, sizeof fh + len);
-
-  const std::uint8_t* p = payload_.data();
+  // lays every byte down in order, so only a crash or rot explains it. The
+  // CRC covers the type byte and the payload, which sit next to each other.
+  if (util::crc32c(frame + 8, 1 + len) != util::unmask_crc32c(get_u32(frame + 4))) {
+    return fail(DefectClass::kBadFrameCrc, at, kFrameHeaderSize + len);
+  }
+  type_ = frame[8];
+  const std::uint8_t* p = frame + kFrameHeaderSize;
+  payload_ = {p, len};
   if (type_ == RecordLog::kRecordFrame && len == RecordLog::kRecordEncodedSize) {
     ++records_since_marker_;
   } else if (type_ == RecordLog::kDayMarkerFrame && len >= kMarkerFixedSize &&
@@ -393,13 +413,13 @@ bool SegmentReader::next() {
     marker_.total = get_u64(p + 12);
     marker_.app_state = {p + kMarkerFixedSize, len - kMarkerFixedSize};
     if (!anchor_.admits(marker_, records_since_marker_)) {
-      return fail(DefectClass::kMarkerMismatch, at, sizeof fh + len);
+      return fail(DefectClass::kMarkerMismatch, at, kFrameHeaderSize + len);
     }
     anchor_ = MarkerAnchor{marker_.day, marker_.total, true};
     records_since_marker_ = 0;
     marker_end_ = end;
   } else {
-    return fail(DefectClass::kBadFrameStructure, at, sizeof fh + len);
+    return fail(DefectClass::kBadFrameStructure, at, kFrameHeaderSize + len);
   }
   position_ = end;
   return true;

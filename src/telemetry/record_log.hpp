@@ -160,6 +160,10 @@ TailState tail_state_for(DefectClass stop, bool later_segment) noexcept;
 
 class RecordLog {
  public:
+  /// The WAL's I/O block: SegmentReader reads segments in blocks of this
+  /// size, and it is the writer's default write_chunk_bytes.
+  static constexpr std::size_t kIoBlockBytes = 64 * 1024;
+
   struct Options {
     std::string directory;
     /// Commit-aligned segment roll threshold: a segment that reaches this
@@ -168,8 +172,10 @@ class RecordLog {
     /// Size of the staging buffer and of every write: the open day reaches
     /// the segment in chunks of exactly this many bytes (the last one of a
     /// commit may be shorter), so the writer holds at most one chunk plus
-    /// one frame, and a crash can land between any two chunks.
-    std::size_t write_chunk_bytes = 4096;
+    /// one frame, and a crash can land between any two chunks. The default
+    /// is the reader's block (64 KiB); the chunk size never changes a byte
+    /// on disk, only how many writes lay them down.
+    std::size_t write_chunk_bytes = kIoBlockBytes;
     /// Opt-in segment mirroring: when set, every segment is copied here at
     /// seal time (tmp + fsync + rename, read back and CRC-verified), and
     /// open() first runs a storage-integrity pass — restoring any damaged
@@ -349,8 +355,8 @@ class RecordLog {
   obs::Histogram obs_commit_seconds_;
 };
 
-/// One decoded day-commit marker. `app_state` views the reader's frame
-/// buffer and is valid until its next frame.
+/// One decoded day-commit marker. `app_state` views the reader's block and
+/// is valid until its next next().
 struct DayMarker {
   int day = -1;
   std::uint64_t in_day = 0;  ///< record frames committed with this day
@@ -381,14 +387,18 @@ struct SegmentStop {
   std::uint64_t length = 0;  ///< suspect range
 };
 
-/// The WAL's one decoder: reads one segment file front to back, a frame at
-/// a time. From offset 0 it first checks the segment header (magic, index,
-/// CRC); a caller resuming past a marker it already consumed passes that
-/// offset instead. Each frame is length-guarded, bounds-checked and
-/// CRC-verified; a marker is decoded once and must pass `anchor`'s rule,
-/// after which it becomes the anchor. At the first bad byte, or at the end
-/// of a segment whose last day has no marker, the reader stops and reports
-/// where and why (stop()); what a stop means is the caller's business.
+/// The WAL's one decoder: reads one segment file front to back in blocks of
+/// RecordLog::kIoBlockBytes and verifies each frame in place in its block.
+/// From offset 0 it first checks the segment header (magic, index, CRC); a
+/// caller resuming past a marker it already consumed passes that offset
+/// instead. Each frame gets one length guard, one bounds check against the
+/// size the segment had when the reader opened it, and one CRC32C over its
+/// type byte and payload; a marker is decoded once and must pass `anchor`'s
+/// rule, after which it becomes the anchor. The block grows only for a frame
+/// larger than itself, and a short read is not end of file: only a read
+/// that returns nothing is. At the first bad byte, or at the end of a
+/// segment whose last day has no marker, the reader stops and reports where
+/// and why (stop()); what a stop means is the caller's business.
 class SegmentReader {
  public:
   /// Throws io::IoError when the file cannot be opened or sized.
@@ -400,7 +410,8 @@ class SegmentReader {
   bool next();
 
   bool is_marker() const noexcept { return type_ == RecordLog::kDayMarkerFrame; }
-  /// The current frame's payload (a record for record frames).
+  /// The current frame's payload (a record for record frames). Views the
+  /// block, so it is valid until the next next().
   std::span<const std::uint8_t> payload() const noexcept { return payload_; }
   /// The current frame's marker; valid when is_marker().
   const DayMarker& marker() const noexcept { return marker_; }
@@ -416,6 +427,10 @@ class SegmentReader {
 
  private:
   bool fail(DefectClass reason, std::uint64_t offset, std::uint64_t length);
+  /// Returns the `n` bytes at file offset `at` (which the caller has checked
+  /// against size_) from the block, reading on from the file when they are
+  /// not all there yet; nullptr when the file ends first.
+  const std::uint8_t* bytes_at(std::uint64_t at, std::size_t n);
 
   std::unique_ptr<io::File> file_;
   std::uint64_t size_ = 0;
@@ -423,7 +438,12 @@ class SegmentReader {
   std::uint64_t marker_end_ = 0;  // offset just past the newest marker
   std::uint64_t records_since_marker_ = 0;
   std::uint8_t type_ = 0;
-  std::vector<std::uint8_t> payload_;
+  // block_[0, block_len_) holds the file's bytes from block_offset_ on; the
+  // file's read position is always block_offset_ + block_len_.
+  std::vector<std::uint8_t> block_;
+  std::uint64_t block_offset_ = 0;
+  std::size_t block_len_ = 0;
+  std::span<const std::uint8_t> payload_;
   DayMarker marker_;
   MarkerAnchor anchor_;
   std::optional<SegmentStop> stop_;

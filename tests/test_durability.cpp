@@ -10,8 +10,12 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <optional>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -27,6 +31,7 @@
 #include "telemetry/scrub.hpp"
 #include "telemetry/signaling_dataset.hpp"
 #include "telemetry/sinks.hpp"
+#include "util/byte_codec.hpp"
 #include "util/crc32c.hpp"
 #include "util/rng.hpp"
 #include "util/sim_time.hpp"
@@ -787,6 +792,264 @@ TEST(RecordLogTest, DiscardedStreamedDayIsTruncatedBeforeTheNextWrite) {
   EXPECT_EQ(RecordLog::replay(real, closed.path, replayed), kRecords);
   EXPECT_EQ(replayed.records, kRecords);
   EXPECT_EQ(replayed.days, std::vector<int>{0});
+}
+
+// --- the block reader against a plain frame walk ----------------------------
+
+/// Read-only files held in memory, whose reads return at most `max_read`
+/// bytes at a time: a reader must take a short read as "read on", and only
+/// a read that returns nothing as the end of the file.
+class MemoryFileSystem final : public io::FileSystem {
+ public:
+  explicit MemoryFileSystem(std::size_t max_read) : max_read_(max_read) {}
+
+  std::map<std::string, std::vector<std::uint8_t>> files;
+
+  std::unique_ptr<io::File> open(const std::string& path, io::OpenMode mode) override {
+    if (mode != io::OpenMode::kRead || files.count(path) == 0) unsupported(path);
+    return std::make_unique<Reader>(files.at(path), max_read_);
+  }
+  bool exists(const std::string& path) override { return files.count(path) > 0; }
+  std::uint64_t file_size(const std::string& path) override {
+    if (files.count(path) == 0) unsupported(path);
+    return files.at(path).size();
+  }
+  void rename(const std::string& from, const std::string&) override { unsupported(from); }
+  void remove(const std::string& path) override { unsupported(path); }
+  void truncate(const std::string& path, std::uint64_t) override { unsupported(path); }
+  void create_directories(const std::string& path) override { unsupported(path); }
+  std::vector<std::string> list(const std::string& dir, const std::string&) override {
+    unsupported(dir);
+  }
+
+ private:
+  [[noreturn]] static void unsupported(const std::string& what) {
+    throw io::IoError{"MemoryFileSystem: read-only, cannot serve " + what};
+  }
+
+  struct Reader final : io::File {
+    Reader(const std::vector<std::uint8_t>& bytes, std::size_t max_read)
+        : bytes(bytes), max_read(max_read) {}
+    std::size_t read(void* data, std::size_t size) override {
+      const std::size_t n = std::min({size, max_read, bytes.size() - pos});
+      if (n > 0) std::memcpy(data, bytes.data() + pos, n);
+      pos += n;
+      return n;
+    }
+    void seek(std::uint64_t offset) override {
+      pos = std::min<std::size_t>(offset, bytes.size());
+    }
+    std::uint64_t size() override { return bytes.size(); }
+    std::size_t write(const void*, std::size_t) override { unsupported("a write"); }
+    void flush() override {}
+    void sync() override {}
+    void close() override {}
+
+    const std::vector<std::uint8_t>& bytes;
+    const std::size_t max_read;
+    std::size_t pos = 0;
+  };
+
+  std::size_t max_read_;
+};
+
+/// What a plain walk over a segment's bytes finds.
+struct SegmentWalk {
+  struct Frame {
+    std::uint64_t offset = 0;
+    std::uint8_t type = 0;
+    std::uint32_t len = 0;
+  };
+  std::vector<Frame> frames;
+  std::optional<telemetry::SegmentStop> stop;
+};
+
+/// The frame format walked one frame after another over a whole segment in
+/// memory, from `offset` (0: check the segment header first): the oracle
+/// the block reader must agree with, frame for frame and stop for stop.
+SegmentWalk walk_segment(std::span<const std::uint8_t> b, std::uint32_t index,
+                         std::uint64_t offset, telemetry::MarkerAnchor anchor) {
+  using telemetry::DefectClass;
+  SegmentWalk w;
+  const std::uint64_t size = b.size();
+  const auto stop = [&w](DefectClass reason, std::uint64_t at, std::uint64_t length) {
+    w.stop = telemetry::SegmentStop{reason, at, length};
+    return w;
+  };
+  constexpr std::uint64_t kHeader = RecordLog::kFrameHeaderSize;
+  if (offset > size) return stop(DefectClass::kTruncatedFrame, size, 0);
+  if (offset == 0) {
+    if (size < RecordLog::kSegmentHeaderSize) {
+      return stop(DefectClass::kTruncatedFrame, 0, size);
+    }
+    if (std::memcmp(b.data(), RecordLog::kMagic, sizeof RecordLog::kMagic) != 0 ||
+        util::get_u32(b.data() + 8) != index ||
+        util::unmask_crc32c(util::get_u32(b.data() + 12)) != util::crc32c(b.data(), 12)) {
+      return stop(DefectClass::kBadSegmentHeader, 0, RecordLog::kSegmentHeaderSize);
+    }
+    offset = RecordLog::kSegmentHeaderSize;
+  }
+  std::uint64_t at = offset, marker_end = offset, records = 0;
+  for (; at < size; at += kHeader + w.frames.back().len) {
+    if (at + kHeader > size) return stop(DefectClass::kTruncatedFrame, at, size - at);
+    const std::uint8_t* f = b.data() + at;
+    const std::uint32_t len = util::get_u32(f);
+    if (len > (1u << 28)) return stop(DefectClass::kBadFrameStructure, at, kHeader);
+    if (at + kHeader + len > size) return stop(DefectClass::kTruncatedFrame, at, size - at);
+    if (util::unmask_crc32c(util::get_u32(f + 4)) != util::crc32c(f + 8, 1 + len)) {
+      return stop(DefectClass::kBadFrameCrc, at, kHeader + len);
+    }
+    const std::uint8_t* p = f + kHeader;
+    if (f[8] == RecordLog::kRecordFrame && len == RecordLog::kRecordEncodedSize) {
+      ++records;
+    } else if (f[8] == RecordLog::kDayMarkerFrame && len >= 24 &&
+               len == 24 + std::uint64_t{util::get_u32(p + 20)}) {
+      const telemetry::DayMarker marker{static_cast<int>(util::get_u32(p)),
+                                        util::get_u64(p + 4), util::get_u64(p + 12), {}};
+      if (!anchor.admits(marker, records)) {
+        return stop(DefectClass::kMarkerMismatch, at, kHeader + len);
+      }
+      anchor = telemetry::MarkerAnchor{marker.day, marker.total, true};
+      records = 0;
+      marker_end = at + kHeader + len;
+    } else {
+      return stop(DefectClass::kBadFrameStructure, at, kHeader + len);
+    }
+    w.frames.push_back({at, f[8], len});
+  }
+  if (records > 0) return stop(DefectClass::kNoSealMarker, marker_end, size - marker_end);
+  return w;
+}
+
+/// A SegmentReader over `path` on `fs` yields what walk_segment finds in
+/// `bytes`, the file's contents: the same frames with the same payloads,
+/// and the same stop. `what` and `at` name the case in a failure. Returns
+/// the reader's anchor at its end.
+telemetry::MarkerAnchor expect_reader_matches_walk(io::FileSystem& fs, const std::string& path,
+                                                   std::span<const std::uint8_t> bytes,
+                                                   std::uint32_t index, std::uint64_t offset,
+                                                   telemetry::MarkerAnchor anchor,
+                                                   const char* what, std::uint64_t at) {
+  const SegmentWalk walk = walk_segment(bytes, index, offset, anchor);
+  telemetry::SegmentReader reader{fs, path, index, offset, anchor};
+  std::size_t k = 0;
+  while (reader.next()) {
+    if (k == walk.frames.size()) {
+      ADD_FAILURE() << what << " " << at << ": the reader yields a frame the walk does not, at "
+                    << reader.position();
+      return reader.anchor();
+    }
+    const SegmentWalk::Frame& f = walk.frames[k++];
+    const std::uint64_t payload_at = f.offset + RecordLog::kFrameHeaderSize;
+    const std::span<const std::uint8_t> payload = reader.payload();
+    const bool same = reader.position() == payload_at + f.len &&
+                      reader.is_marker() == (f.type == RecordLog::kDayMarkerFrame) &&
+                      payload.size() == f.len &&
+                      std::equal(payload.begin(), payload.end(),
+                                 bytes.begin() + static_cast<std::ptrdiff_t>(payload_at));
+    if (!same) {
+      ADD_FAILURE() << what << " " << at << ": frame " << k - 1 << " at " << f.offset
+                    << " differs";
+      return reader.anchor();
+    }
+  }
+  EXPECT_EQ(k, walk.frames.size()) << what << " " << at;
+  EXPECT_EQ(reader.stop().has_value(), walk.stop.has_value()) << what << " " << at;
+  if (reader.stop() && walk.stop) {
+    EXPECT_EQ(reader.stop()->reason, walk.stop->reason) << what << " " << at;
+    EXPECT_EQ(reader.stop()->offset, walk.stop->offset) << what << " " << at;
+    EXPECT_EQ(reader.stop()->length, walk.stop->length) << what << " " << at;
+  }
+  return reader.anchor();
+}
+
+TEST(SegmentReaderTest, BlocksYieldWhatAPlainFrameWalkYieldsAtEveryCutAndFlip) {
+  TempDir tmp{"reader_blocks"};
+  auto& real = io::StdioFileSystem::instance();
+  // Days of 600 records (34,833 bytes) against a 68 KiB roll threshold: the
+  // two sealed segments hold two days each and run past the 64 KiB block
+  // edge, and the tail's one day ends in a marker whose app state is larger
+  // than a block.
+  {
+    RecordLog::Options opt;
+    opt.directory = tmp.path;
+    opt.max_segment_bytes = 68 * 1024;
+    RecordLog log{real, opt};
+    log.open();
+    for (int day = 0; day < 4; ++day) {
+      for (std::uint32_t i = 0; i < 600; ++i) log.append(make_record(day, i));
+      log.commit_day(day, {});
+    }
+    for (std::uint32_t i = 0; i < 10; ++i) log.append(make_record(4, i));
+    std::vector<std::uint8_t> state(RecordLog::kIoBlockBytes + 1000);
+    for (std::size_t i = 0; i < state.size(); ++i) {
+      state[i] = static_cast<std::uint8_t>(i * 131 + 7);
+    }
+    log.commit_day(4, state);
+  }
+  const std::vector<std::string> names = real.list(tmp.path, "wal-");
+  ASSERT_EQ(names.size(), 3u);
+  std::vector<std::string> paths;
+  for (const std::string& name : names) paths.push_back(tmp.path + "/" + name);
+
+  // The premise: a record frame straddles the block edge of a sealed
+  // segment, and the tail's marker is larger than a block.
+  const std::vector<std::uint8_t> sealed = io::read_file(real, paths[0]);
+  const SegmentWalk sealed_walk = walk_segment(sealed, 0, 0, {-1, 0, true});
+  ASSERT_FALSE(sealed_walk.stop.has_value());
+  ASSERT_TRUE(std::any_of(sealed_walk.frames.begin(), sealed_walk.frames.end(),
+                          [](const SegmentWalk::Frame& f) {
+                            return f.type == RecordLog::kRecordFrame &&
+                                   f.offset < RecordLog::kIoBlockBytes &&
+                                   f.offset + RecordLog::kRecordFrameSize >
+                                       RecordLog::kIoBlockBytes;
+                          }));
+  const std::vector<std::uint8_t> tail = io::read_file(real, paths[2]);
+  const SegmentWalk tail_walk = walk_segment(tail, 2, 0, {3, 2400, true});
+  ASSERT_FALSE(tail_walk.stop.has_value());
+  ASSERT_GT(tail_walk.frames.back().len, RecordLog::kIoBlockBytes);
+
+  // The whole chain, on the real filesystem and on one whose reads return
+  // 7 bytes at a time, from each segment's start and from each marker.
+  MemoryFileSystem dribble{7};
+  for (const std::string& path : paths) dribble.files[path] = io::read_file(real, path);
+  for (io::FileSystem* fs : {static_cast<io::FileSystem*>(&real),
+                             static_cast<io::FileSystem*>(&dribble)}) {
+    telemetry::MarkerAnchor anchor{-1, 0, true};
+    for (std::uint32_t index = 0; index < paths.size(); ++index) {
+      const std::vector<std::uint8_t> bytes = io::read_file(*fs, paths[index]);
+      telemetry::MarkerAnchor resumed = anchor;
+      for (const SegmentWalk::Frame& f : walk_segment(bytes, index, 0, anchor).frames) {
+        if (f.type != RecordLog::kDayMarkerFrame) continue;
+        const std::uint8_t* p = bytes.data() + f.offset + RecordLog::kFrameHeaderSize;
+        resumed = {static_cast<int>(util::get_u32(p)), util::get_u64(p + 12), true};
+        expect_reader_matches_walk(*fs, paths[index], bytes, index,
+                                   f.offset + RecordLog::kFrameHeaderSize + f.len, resumed,
+                                   "resumed in segment", index);
+      }
+      anchor = expect_reader_matches_walk(*fs, paths[index], bytes, index, 0, anchor,
+                                          "segment", index);
+      EXPECT_EQ(anchor.day, resumed.day);
+    }
+  }
+  ASSERT_FALSE(HasFailure());
+
+  // Every cut of the tail segment, and every flipped byte of a sealed one,
+  // read in blocks through reads of at most 4,099 bytes. The walk runs over
+  // the bytes the file holds, which is what io::read_file returns.
+  MemoryFileSystem mem{4099};
+  std::vector<std::uint8_t>& cut = mem.files[paths[2]] = tail;
+  for (std::size_t len = tail.size(); len-- > 0 && !HasFailure();) {
+    cut.resize(len);
+    expect_reader_matches_walk(mem, paths[2], cut, 2, 0, {3, 2400, true}, "tail cut to", len);
+  }
+  std::vector<std::uint8_t>& flipped = mem.files[paths[0]] = sealed;
+  for (std::size_t at = 0; at < sealed.size() && !HasFailure(); ++at) {
+    flipped[at] ^= 0xFF;
+    expect_reader_matches_walk(mem, paths[0], flipped, 0, 0, {-1, 0, true},
+                               "sealed segment with a flipped byte at", at);
+    flipped[at] ^= 0xFF;
+  }
 }
 
 // --- binary checkpoint codec -------------------------------------------------

@@ -986,15 +986,25 @@ TEST(ReadFaults, ScrubberToleratesTransientReadFaults) {
   const auto before_primary = chain_crcs(tmp.path + "/wal");
   const auto before_mirror = chain_crcs(tmp.path + "/mirror");
 
+  // The fault horizon is a fault-free pass's own read count, so the planned
+  // faults land on reads the pass really makes, however large its reads
+  // are. The rate expects four planned faults per pass.
+  const ScrubOptions scrub{tmp.path + "/wal", tmp.path + "/mirror"};
+  io::FaultyFileSystem dry{real, io::IoFaultPlan{}, 0};
+  LogIntegrity{dry, scrub}.check_and_repair();
+  const std::uint64_t horizon = dry.read_ops();
+  ASSERT_GT(horizon, 0u);
+
   io::FaultyFileSystem ffs{real, io::IoFaultPlan{}, 3};
-  ffs.set_read_fault_plan(io::IoFaultPlan::read_chaos(3, 200, 0.02));
+  ffs.set_read_fault_plan(
+      io::IoFaultPlan::read_chaos(3, horizon, 4.0 / static_cast<double>(horizon)));
   try {
-    LogIntegrity{ffs, {tmp.path + "/wal", tmp.path + "/mirror"}}
-        .check_and_repair();
+    LogIntegrity{ffs, scrub}.check_and_repair();
   } catch (const io::IoError&) {
     // A kReadError (or a copy-verify catching a ghost) may abort the pass;
     // the on-disk chain must still be untouched.
   }
+  EXPECT_FALSE(ffs.fired().empty());
   EXPECT_EQ(chain_crcs(tmp.path + "/wal"), before_primary);
   EXPECT_EQ(chain_crcs(tmp.path + "/mirror"), before_mirror);
 }

@@ -621,6 +621,46 @@ TEST(StreamAggregatesTest, SerializeRoundTripsByteIdentically) {
   EXPECT_EQ(a, b);
 }
 
+TEST(StreamAggregatesTest, SerializedFormatIsPinned) {
+  // The serve checkpoint format and the governor's byte readings do not
+  // depend on the tally container. These figures were computed with the
+  // ordered-map tallies the format was defined with; the hash-map tallies
+  // must serialize to the same bytes (keys in ascending order, 0 and
+  // UINT32_MAX included), report the same approximate_bytes() and shed the
+  // same key counts on a step to kSketchOnly.
+  StreamAggregates aggs{small_aggs()};
+  const auto feed = [&aggs](int day, std::uint32_t count) {
+    for (std::uint32_t i = 0; i < count; ++i) {
+      HandoverRecord r = make_record(day, i);
+      r.district = 1 + (i * 7 + static_cast<std::uint32_t>(day)) % 23;
+      r.source_sector = 100 + (i * 13 + 5 * static_cast<std::uint32_t>(day)) % 61;
+      if (i % 10 == 0) r.district = 0;
+      if (i % 10 == 1) r.district = UINT32_MAX;
+      if (i % 12 == 0) r.source_sector = 0;
+      if (i % 12 == 1) r.source_sector = UINT32_MAX;
+      aggs.consume(r);
+    }
+  };
+  for (int day = 0; day < 5; ++day) {
+    feed(day, kPerDay);
+    aggs.on_day_end(day);
+  }
+  feed(5, 40);  // an open day in flight too
+  std::vector<std::uint8_t> bytes;
+  aggs.serialize(bytes);
+  EXPECT_EQ(bytes.size(), 6512u);
+  EXPECT_EQ(util::crc32c(bytes.data(), bytes.size()), 0x93207DE0u);
+  EXPECT_EQ(aggs.approximate_bytes(), 14688u);
+
+  StreamAggregates::DegradeDecision decision;
+  decision.level = serve::DegradeLevel::kSketchOnly;
+  aggs.apply_degrade(decision, 5);
+  ASSERT_EQ(aggs.degradation_events().size(), 1u);
+  EXPECT_EQ(aggs.degradation_events().back().shed_district_keys, 98u);
+  EXPECT_EQ(aggs.degradation_events().back().shed_sector_keys, 63u);
+  EXPECT_EQ(aggs.approximate_bytes(), 4432u);
+}
+
 TEST(StreamAggregatesTest, DeserializeRejectsCorruption) {
   StreamAggregates aggs{small_aggs()};
   feed_day(aggs, 0);
@@ -732,6 +772,43 @@ TEST(WalTailerTest, CorruptCheckpointIsRejectedNotIgnored) {
     f.get(c);
     f.seekp(20);
     f.put(static_cast<char>(c ^ 0x01));
+  }
+  WalTailer tailer{real, opt};
+  EXPECT_THROW(tailer.open(), io::IoError);
+}
+
+TEST(WalTailerTest, HugeLedgerPayloadLengthIsRejectedNotRead) {
+  // A CRC-valid v2 (loss-ledger) checkpoint whose payload length is close
+  // to 2^64: the length checks must not wrap and send the ledger and
+  // aggregate reads past the 66-byte file.
+  TempDir tmp{"tailer_huge_len"};
+  stdfs::create_directories(tmp.path);
+  auto& real = io::StdioFileSystem::instance();
+  const WalTailer::Options opt = tailer_options(tmp, tmp.path);
+  std::vector<std::uint8_t> bytes(WalTailer::kCheckpointMagic,
+                                  WalTailer::kCheckpointMagic + 8);
+  bytes.push_back(2);  // version with the loss ledger
+  put_u32(bytes, 0);   // cursor segment
+  put_u64(bytes, 0);   // cursor offset
+  put_u32(bytes, 0);   // cursor day
+  put_u64(bytes, 2);   // cursor records; also what a wrapped read takes as
+                       // the ledger's segment count
+  put_u64(bytes, ~std::uint64_t{15});  // payload length 2^64 - 16
+  // The 21 bytes after the length start like a real aggregate state (magic,
+  // version, window, sketch k, sample modulus), so an unchecked decode
+  // would read on past the end of the file.
+  for (const char c : {'T', 'L', 'S', 'A'}) bytes.push_back(static_cast<std::uint8_t>(c));
+  bytes.push_back(2);
+  put_u32(bytes, 3);
+  put_u32(bytes, 32);
+  put_u32(bytes, 8);
+  bytes.resize(62, 0);
+  put_u32(bytes, util::mask_crc32c(util::crc32c(bytes.data(), bytes.size())));
+  ASSERT_EQ(bytes.size(), 66u);
+  {
+    std::ofstream os{opt.checkpoint_path, std::ios::binary};
+    os.write(reinterpret_cast<const char*>(bytes.data()),
+             static_cast<std::streamsize>(bytes.size()));
   }
   WalTailer tailer{real, opt};
   EXPECT_THROW(tailer.open(), io::IoError);
