@@ -8,8 +8,6 @@
 //   C. QoS impact: the user-plane cost of HOs/HOFs, and the share of damage
 //      attributable to vertical HOs (the paper's central complaint).
 
-#include <benchmark/benchmark.h>
-
 #include <cmath>
 #include <iostream>
 
@@ -129,41 +127,11 @@ void print_qos_ablation() {
                " paper's quantitative case for legacy-RAT decommissioning)\n";
 }
 
-void BM_PingPongDetection(benchmark::State& state) {
-  telemetry::HandoverRecord r;
-  r.success = true;
-  for (auto _ : state) {
-    telemetry::PingPongDetector detector{5'000};
-    for (int i = 0; i < 100'000; ++i) {
-      r.anon_user_id = static_cast<std::uint64_t>(i % 1'000);
-      r.timestamp = i * 100;
-      r.source_sector = static_cast<topology::SectorId>(i % 7);
-      r.target_sector = static_cast<topology::SectorId>((i + 1) % 7);
-      detector.consume(r);
-    }
-    benchmark::DoNotOptimize(detector.ping_pongs());
-  }
-  state.SetItemsProcessed(state.iterations() * 100'000);
-}
-BENCHMARK(BM_PingPongDetection);
-
-void BM_QosAssessment(benchmark::State& state) {
-  const core::QosModel model;
-  telemetry::HandoverRecord r;
-  r.duration_ms = 43.0f;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(model.assess(r).lost_mbytes);
-  }
-}
-BENCHMARK(BM_QosAssessment);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_pingpong_ablation();
   print_sampling_ablation();
   print_qos_ablation();
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

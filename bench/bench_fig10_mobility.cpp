@@ -2,13 +2,10 @@
 // median 22 visited sectors / 2.7 km gyration; M2M 1 sector / 0.0 km with a
 // 20.1 km p95 tail; feature phones 3 sectors / 0.9 km.
 
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "analysis/summary.hpp"
 #include "bench_world.hpp"
-#include "mobility/metrics.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -64,25 +61,9 @@ void print_fig10() {
   e.print(std::cout);
 }
 
-void BM_RadiusOfGyration(benchmark::State& state) {
-  std::vector<util::GeoPoint> points;
-  std::vector<double> dwell;
-  util::Rng rng{3};
-  for (int i = 0; i < 64; ++i) {
-    points.push_back({rng.uniform(0.0, 50.0), rng.uniform(0.0, 50.0)});
-    dwell.push_back(rng.uniform(1.0, 100.0));
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(mobility::radius_of_gyration(points, dwell));
-  }
-}
-BENCHMARK(BM_RadiusOfGyration);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_fig10();
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

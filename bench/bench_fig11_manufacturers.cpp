@@ -3,8 +3,6 @@
 // +8% HOF, Google -27% HOF, while outliers reach +600% HOF (KVD, HMD) and
 // +293% HOs (Simcom).
 
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "analysis/summary.hpp"
@@ -47,20 +45,9 @@ void print_fig11() {
                   "(paper: KVD/HMD up to +600% HOF, Simcom +293% HOs)");
 }
 
-void BM_ManufacturerNormalization(benchmark::State& state) {
-  const auto& w = bench::simulated_world();
-  for (auto _ : state) {
-    const auto result = core::manufacturer_normalized(*w.sim, *w.districts, 3);
-    benchmark::DoNotOptimize(result.rows.size());
-  }
-}
-BENCHMARK(BM_ManufacturerNormalization);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_fig11();
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -3,8 +3,6 @@
 // [7:00-9:00), afternoon peak [15:00-18:00), rural median +32.4% over urban
 // during [7:00-8:00).
 
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "bench_world.hpp"
@@ -42,19 +40,9 @@ void print_fig12() {
             << peak_hour << ":00\n";
 }
 
-void BM_HourlyHofReduce(benchmark::State& state) {
-  const auto& w = bench::simulated_world();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(w.temporal->hourly_hof_per_active_sector()[0].size());
-  }
-}
-BENCHMARK(BM_HourlyHofReduce);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_fig12();
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -2,8 +2,6 @@
 // bins), with the UE ECDF per bin. Paper: ~zero HOF for 87% of UEs (<=100
 // sectors/day); up to 0.4% at pct-75 beyond 100 sectors or 100 km gyration.
 
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "analysis/histogram.hpp"
@@ -68,25 +66,9 @@ void print_fig13() {
             << util::TextTable::pct(below_zero / std::max<double>(below, 1), 1) << "\n";
 }
 
-void BM_GroupByBins(benchmark::State& state) {
-  const auto& w = bench::simulated_world();
-  std::vector<double> metric, rates;
-  for (const auto& row : w.ue_days.rows()) {
-    metric.push_back(std::max<double>(row.distinct_sectors, 0.51));
-    rates.push_back(row.hof_rate());
-  }
-  auto hist = analysis::Histogram::logarithmic(0.5, 2'000.0, 8);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(analysis::group_by_bins(hist, metric, rates).size());
-  }
-}
-BENCHMARK(BM_GroupByBins);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_fig13();
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

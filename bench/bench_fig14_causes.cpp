@@ -3,12 +3,9 @@
 // Fig. 14b — HO signaling time per cause (#3/#6 abort at 0 ms; #4 ~81 ms;
 // #1/#2 seconds; #8 a ~10 s timeout).
 
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "bench_world.hpp"
-#include "core_network/failure_causes.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -68,23 +65,10 @@ void print_fig14b() {
   t.print(std::cout);
 }
 
-void BM_CauseSampling(benchmark::State& state) {
-  const corenet::CauseCatalog catalog;
-  util::Rng rng{5};
-  corenet::CauseContext ctx;
-  ctx.target = topology::ObservedRat::kG3;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(catalog.sample(ctx, rng));
-  }
-}
-BENCHMARK(BM_CauseSampling);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_fig14a();
   print_fig14b();
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -3,8 +3,6 @@
 // urban HOFs; #5/#6 ~20% each in rural; 59% of M2M failures are #3; feature
 // phones skew to #6; #8 is x3 more common on M2M.
 
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "bench_world.hpp"
@@ -75,27 +73,9 @@ void print_fig15() {
               });
 }
 
-void BM_CauseAggregatorConsume(benchmark::State& state) {
-  telemetry::HandoverRecord r;
-  r.success = false;
-  r.cause = corenet::kCause4TargetLoadTooHigh;
-  for (auto _ : state) {
-    telemetry::CauseAggregator agg{7, 32};
-    for (int i = 0; i < 100'000; ++i) {
-      r.timestamp = (i * 6047) % (7 * util::kMsPerDay);
-      agg.consume(r);
-    }
-    benchmark::DoNotOptimize(agg.total_failures());
-  }
-  state.SetItemsProcessed(state.iterations() * 100'000);
-}
-BENCHMARK(BM_CauseAggregatorConsume);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_fig15();
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -2,13 +2,10 @@
 // levels), Fig. 17 (vendor per region / per HO type), Fig. 18 (HOF rate
 // boxplots vs vendor and vs area), plus the appendix ANOVA robustness runs.
 
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 #include <map>
 
 #include "analysis/anova.hpp"
-#include "analysis/ecdf.hpp"
 #include "bench_world.hpp"
 #include "core/hof_dataset.hpp"
 #include "util/table.hpp"
@@ -155,27 +152,13 @@ void print_fig18_and_anova() {
   a.print(std::cout);
 }
 
-void BM_TukeyHsdByType(benchmark::State& state) {
-  const auto groups = dataset().log_rate_groups();
-  std::vector<std::vector<double>> present;
-  for (const auto& g : groups) {
-    if (!g.empty()) present.push_back(g);
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(analysis::tukey_hsd(present).size());
-  }
-}
-BENCHMARK(BM_TukeyHsdByType);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_fig16(dataset(), "Fig. 16 (all rows): HOF-rate quantiles per HO type");
   print_fig16(dataset().nonzero(), "Fig. 16 (non-zero rows)");
   print_fig16(dataset().filtered(50.0, 10, 30'000), "Fig. 16 (outliers filtered)");
   print_fig17();
   print_fig18_and_anova();
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -1,8 +1,6 @@
 // Fig. 3a — Deployment evolution 2009-2023 per RAT.
 // Fig. 3b — Average daily RAT use (time share) + UL/DL traffic shares.
 
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "bench_world.hpp"
@@ -65,30 +63,10 @@ void print_fig3b() {
             << " (paper 2.07%)\n";
 }
 
-void BM_DeploymentBuild(benchmark::State& state) {
-  const auto& w = bench::static_world();
-  topology::DeploymentConfig cfg = w.config.deployment;
-  for (auto _ : state) {
-    auto dep = topology::Deployment::build(w.sim->country(), cfg);
-    benchmark::DoNotOptimize(dep.live_sector_count());
-  }
-}
-BENCHMARK(BM_DeploymentBuild);
-
-void BM_EvolutionScan(benchmark::State& state) {
-  const auto& w = bench::static_world();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(w.sim->deployment().evolution(2009, 2023).size());
-  }
-}
-BENCHMARK(BM_EvolutionScan);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_fig3a();
   print_fig3b();
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

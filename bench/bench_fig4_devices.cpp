@@ -1,8 +1,6 @@
 // Fig. 4a — Device-type and manufacturer shares.
 // Fig. 4b — Supported-RAT shares, overall and per device type.
 
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <iostream>
 #include <map>
@@ -94,30 +92,10 @@ void print_fig4b() {
                "feature phones support at most 3G.\n";
 }
 
-void BM_CatalogBuild(benchmark::State& state) {
-  for (auto _ : state) {
-    auto catalog = devices::Catalog::build({2'000, 17});
-    benchmark::DoNotOptimize(catalog.models().size());
-  }
-}
-BENCHMARK(BM_CatalogBuild);
-
-void BM_ModelSampling(benchmark::State& state) {
-  const auto catalog = devices::Catalog::build({2'000, 17});
-  util::Rng rng{7};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        catalog.sample_model(devices::DeviceType::kSmartphone, rng).tac);
-  }
-}
-BENCHMARK(BM_ModelSampling);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_fig4a();
   print_fig4b();
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

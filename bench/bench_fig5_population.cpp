@@ -1,7 +1,5 @@
 // Fig. 5 — Census population vs MNO-inferred population (R^2 = 0.92).
 
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <iostream>
 
@@ -39,21 +37,9 @@ void print_fig5() {
   t.print(std::cout);
 }
 
-void BM_HomeInference(benchmark::State& state) {
-  const auto& w = bench::static_world();
-  for (auto _ : state) {
-    const auto result = core::infer_home_locations(
-        w.sim->country(), w.sim->deployment(), w.sim->population());
-    benchmark::DoNotOptimize(result.r_squared());
-  }
-}
-BENCHMARK(BM_HomeInference);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_fig5();
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

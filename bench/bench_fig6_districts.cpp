@@ -2,8 +2,6 @@
 // (Pearson 0.97; 2.1M HOs/km2 in the capital centre, 60 in the most remote
 // district, 13.1k mean).
 
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <iostream>
 
@@ -49,20 +47,9 @@ void print_fig6() {
   d.print(std::cout);
 }
 
-void BM_DistrictDensityReduce(benchmark::State& state) {
-  const auto& w = bench::simulated_world();
-  for (auto _ : state) {
-    const auto density = core::district_ho_density(*w.sim, *w.districts);
-    benchmark::DoNotOptimize(density.pearson);
-  }
-}
-BENCHMARK(BM_DistrictDensityReduce);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_fig6();
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -1,8 +1,6 @@
 // Fig. 7 — Temporal evolution of HOs (top) and active sectors (bottom) in
 // urban and rural areas, 30-minute bins, normalized by the period maximum.
 
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <iostream>
 
@@ -91,28 +89,9 @@ void print_fig7() {
             << "\n";
 }
 
-void BM_TemporalAggregation(benchmark::State& state) {
-  telemetry::HandoverRecord r;
-  r.area = geo::AreaType::kUrban;
-  r.source_sector = 5;
-  for (auto _ : state) {
-    telemetry::TemporalAggregator agg{1'000, 7};
-    for (int i = 0; i < 100'000; ++i) {
-      r.timestamp = (i * 6047) % (7 * util::kMsPerDay);
-      r.source_sector = static_cast<topology::SectorId>(i % 1'000);
-      agg.consume(r);
-    }
-    benchmark::DoNotOptimize(agg.ho_series(geo::AreaType::kUrban).size());
-  }
-  state.SetItemsProcessed(state.iterations() * 100'000);
-}
-BENCHMARK(BM_TemporalAggregation);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_fig7();
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

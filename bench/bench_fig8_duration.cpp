@@ -2,13 +2,9 @@
 // completes in tens of ms (median 43 ms), to-3G in hundreds (412 ms),
 // to-2G in seconds (median ~1 s, p95 3.8 s).
 
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
-#include "analysis/ecdf.hpp"
 #include "bench_world.hpp"
-#include "core_network/duration_model.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -57,30 +53,9 @@ void print_fig8() {
   e.print(std::cout);
 }
 
-void BM_DurationSampling(benchmark::State& state) {
-  const corenet::DurationModel dm;
-  util::Rng rng{1};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(dm.success_duration_ms(ObservedRat::kG3, rng));
-  }
-}
-BENCHMARK(BM_DurationSampling);
-
-void BM_EcdfConstruction(benchmark::State& state) {
-  const auto& w = bench::simulated_world();
-  const auto& values = w.durations->durations(ObservedRat::kG45Nsa).values();
-  for (auto _ : state) {
-    const analysis::Ecdf ecdf{values};
-    benchmark::DoNotOptimize(ecdf.at(43.0));
-  }
-}
-BENCHMARK(BM_EcdfConstruction);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_fig8();
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

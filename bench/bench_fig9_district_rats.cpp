@@ -3,8 +3,6 @@
 // (up to 99.92%), remote districts up to 58.1% on 3G (26.5% average in the
 // 6% least dense), 2G marginal with ~0.5% in a handful of districts.
 
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <iostream>
 
@@ -53,20 +51,9 @@ void print_fig9() {
             << shares.shares.size() << ")\n";
 }
 
-void BM_DistrictShareReduce(benchmark::State& state) {
-  const auto& w = bench::simulated_world();
-  for (auto _ : state) {
-    const auto shares = core::district_rat_shares(*w.sim, *w.districts);
-    benchmark::DoNotOptimize(shares.max_3g_share);
-  }
-}
-BENCHMARK(BM_DistrictShareReduce);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_fig9();
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

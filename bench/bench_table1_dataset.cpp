@@ -3,12 +3,9 @@
 // Regenerates the paper's dataset-statistics table at the configured scale
 // and reports the full-scale equivalents next to the paper's values.
 
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "bench_world.hpp"
-#include "telemetry/signaling_dataset.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -40,28 +37,9 @@ void print_table1() {
 
 /// Streaming throughput of the telemetry path: how fast records pass
 /// through a retaining sink (the operator-pipeline hot path).
-void BM_RecordStreaming(benchmark::State& state) {
-  telemetry::HandoverRecord record;
-  record.timestamp = 12345;
-  record.duration_ms = 43.0f;
-  for (auto _ : state) {
-    telemetry::SignalingDataset sink;
-    sink.reserve(static_cast<std::size_t>(state.range(0)));
-    for (std::int64_t i = 0; i < state.range(0); ++i) {
-      record.timestamp += 17;
-      sink.consume(record);
-    }
-    benchmark::DoNotOptimize(sink.size());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_RecordStreaming)->Arg(100'000);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_table1();
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -1,8 +1,6 @@
 // Table 2 — Statistics per handover and device type (shares of all HOs,
 // with min/max daily variation).
 
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "bench_world.hpp"
@@ -57,26 +55,9 @@ void print_table2() {
   t.print(std::cout);
 }
 
-void BM_TypeMixConsume(benchmark::State& state) {
-  telemetry::HandoverRecord r;
-  for (auto _ : state) {
-    telemetry::TypeMixAggregator agg{7};
-    for (int i = 0; i < 100'000; ++i) {
-      r.timestamp = (i * 6047) % (7 * util::kMsPerDay);
-      r.device_type = static_cast<devices::DeviceType>(i % 3);
-      agg.consume(r);
-    }
-    benchmark::DoNotOptimize(agg.total());
-  }
-  state.SetItemsProcessed(state.iterations() * 100'000);
-}
-BENCHMARK(BM_TypeMixConsume);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_table2();
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -4,8 +4,6 @@
 // Paper Table 4: Intra -2.77 / to-3G +5.12 / to-2G +6.82; medians 0.04%,
 // 5.85%, 21.42%; ANOVA p < 0.001 with eta^2 = 0.81.
 
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "bench_world.hpp"
@@ -73,28 +71,11 @@ void print_table4() {
   bench::print_model(std::cout, model);
 }
 
-void BM_UnivariateFit(benchmark::State& state) {
-  const auto nonzero = dataset().nonzero();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(nonzero.fit_univariate().r_squared);
-  }
-}
-BENCHMARK(BM_UnivariateFit);
-
-void BM_AnovaByType(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(dataset().anova_by_type().f_statistic);
-  }
-}
-BENCHMARK(BM_AnovaByType);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_table3();
   print_first_look();
   print_table4();
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -4,8 +4,6 @@
 // Paper Table 5: HO type dominates (to-2G +5.48, to-3G +4.77) with smaller
 // area/vendor/region effects (Rural +0.26, V3 +0.72, West +0.40).
 
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "bench_world.hpp"
@@ -56,21 +54,11 @@ void print_stepwise() {
             << ", R^2 = " << util::TextTable::num(result.model.r_squared, 4) << "\n";
 }
 
-void BM_FullModelFit(benchmark::State& state) {
-  const auto filtered = dataset().filtered(50.0, 10, 30'000);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(filtered.fit_full().aic);
-  }
-}
-BENCHMARK(BM_FullModelFit);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_table5();
   print_table7();
   print_stepwise();
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -2,8 +2,6 @@
 // Paper: Daily HOs {1, 76, 1989, 6431, 8591, 953287}; HOF rate (%) {0, 0,
 // 0.069, 6.131, 4.191, 100}.
 
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "bench_world.hpp"
@@ -45,18 +43,9 @@ void print_table6() {
                " shape to preserve is median << mean on both columns)\n";
 }
 
-void BM_SummaryStats(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(dataset().summary_hof_rate().mean);
-  }
-}
-BENCHMARK(BM_SummaryStats);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_table6();
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -5,8 +5,6 @@
 // Paper: the to-3G coefficient stays ~4.8-5.0 (filtered) / ~5.0-5.5 (all)
 // across the whole quantile range; to-2G ~5.7-5.9 / ~6.7-7.2.
 
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "bench_world.hpp"
@@ -44,19 +42,9 @@ void print_quantile_tables() {
   }
 }
 
-void BM_QuantileFit(benchmark::State& state) {
-  const auto filtered = dataset().filtered(50.0, 10, 30'000);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(filtered.fit_quantile(0.5).iterations);
-  }
-}
-BENCHMARK(BM_QuantileFit);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_quantile_tables();
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -81,29 +81,8 @@
 #include "supervise/task_fault_injector.hpp"
 #include "telemetry/record_log.hpp"
 #include "telemetry/sinks.hpp"
-#include "util/crc32c.hpp"
 
 namespace {
-
-/// Cheap consumer standing in for a real aggregation pipeline: CRC32C over
-/// the wire encoding of every record, so the stream's bytes are both
-/// consumed (nothing optimizes away) and fingerprinted (determinism check).
-class ChecksumSink final : public tl::telemetry::RecordSink {
- public:
-  void consume(const tl::telemetry::HandoverRecord& record) override {
-    buffer_.clear();
-    tl::telemetry::RecordLog::encode_record(record, buffer_);
-    crc_.update(buffer_.data(), buffer_.size());
-    ++records_;
-  }
-  std::uint32_t checksum() const noexcept { return crc_.value(); }
-  std::uint64_t records() const noexcept { return records_; }
-
- private:
-  tl::util::Crc32c crc_;
-  std::uint64_t records_ = 0;
-  std::vector<std::uint8_t> buffer_;
-};
 
 struct Measurement {
   unsigned threads = 1;
@@ -117,7 +96,7 @@ struct Measurement {
 
 Measurement timed_run(tl::core::Simulator& sim, unsigned threads, int days,
                       std::uint64_t seed, std::uint64_t population) {
-  ChecksumSink sink;
+  tl::telemetry::ChecksumSink sink;
   tl::core::DayCheckpoint day0;
   day0.seed = seed;
   sim.set_threads(threads);
@@ -239,7 +218,7 @@ StormMeasurement storm_run(tl::core::Simulator& sim, unsigned threads,
   if (fault_rate > 0.0) opt.injector = &injector;
   supervise::StudySupervisor supervisor{opt};
 
-  ChecksumSink sink;
+  tl::telemetry::ChecksumSink sink;
   core::DayCheckpoint day0;
   day0.seed = seed;
   sim.set_threads(threads);

@@ -25,31 +25,7 @@
 #include "telemetry/record_log.hpp"
 #include "telemetry/sinks.hpp"
 #include "util/cli.hpp"
-#include "util/crc32c.hpp"
 #include "util/table.hpp"
-
-namespace {
-
-/// CRC32C over the wire encoding of the full record stream: a compact
-/// equality oracle for "same bytes, same order".
-class ChecksumSink final : public tl::telemetry::RecordSink {
- public:
-  void consume(const tl::telemetry::HandoverRecord& record) override {
-    scratch_.clear();
-    tl::telemetry::RecordLog::encode_record(record, scratch_);
-    crc_.update(scratch_.data(), scratch_.size());
-    ++records_;
-  }
-  std::uint32_t value() const noexcept { return crc_.value(); }
-  std::uint64_t records() const noexcept { return records_; }
-
- private:
-  tl::util::Crc32c crc_;
-  std::uint64_t records_ = 0;
-  std::vector<std::uint8_t> scratch_;
-};
-
-}  // namespace
 
 [[noreturn]] static void usage(const char* argv0, const std::string& why) {
   std::cerr << "error: " << why << "\n"
@@ -127,7 +103,7 @@ int main(int argc, char** argv) {
   std::cout << "Supervised study: " << config.days << " day(s), "
             << config.population.count << " UEs, task fault rate " << storm_rate
             << ", poison fraction " << poison_fraction << "...\n";
-  ChecksumSink storm_crc;
+  tl::telemetry::ChecksumSink storm_crc;
   core::Simulator sim{config};
   sim.set_supervisor(&supervisor);
   sim.add_sink(&storm_crc);
@@ -163,7 +139,7 @@ int main(int argc, char** argv) {
   // The lossless-degradation check: a serial, unsupervised, uninjected run
   // over the surviving population must reproduce the storm's byte stream.
   std::cout << "\nVerifying against a clean serial run over the survivors...\n";
-  ChecksumSink clean_crc;
+  tl::telemetry::ChecksumSink clean_crc;
   core::Simulator oracle{config};
   oracle.set_threads(1);
   oracle.set_quarantined_ues(quarantined);
@@ -173,12 +149,12 @@ int main(int argc, char** argv) {
   util::print_section(std::cout, "Byte-determinism verdict");
   util::TextTable vt{{"Run", "Records", "Stream CRC32C"}};
   vt.add_row({"supervised + fault storm", std::to_string(storm_crc.records()),
-              std::to_string(storm_crc.value())});
+              std::to_string(storm_crc.checksum())});
   vt.add_row({"clean serial over survivors", std::to_string(clean_crc.records()),
-              std::to_string(clean_crc.value())});
+              std::to_string(clean_crc.checksum())});
   vt.print(std::cout);
 
-  if (storm_crc.value() != clean_crc.value() ||
+  if (storm_crc.checksum() != clean_crc.checksum() ||
       storm_crc.records() != clean_crc.records()) {
     std::cout << "\nMISMATCH — supervised degradation altered the stream.\n";
     return 1;

@@ -59,42 +59,6 @@ AnovaResult one_way_anova(std::span<const std::vector<double>> groups) {
   return r;
 }
 
-std::vector<TukeyComparison> tukey_hsd(std::span<const std::vector<double>> groups) {
-  validate_groups(groups);
-  const std::size_t k = groups.size();
-  const AnovaResult anova = one_way_anova(groups);
-  const double ms_within = anova.ss_within / anova.df_within;
-
-  std::vector<double> means(k);
-  std::vector<double> sizes(k);
-  for (std::size_t i = 0; i < k; ++i) {
-    double sum = 0.0;
-    for (const double v : groups[i]) sum += v;
-    means[i] = sum / static_cast<double>(groups[i].size());
-    sizes[i] = static_cast<double>(groups[i].size());
-  }
-
-  std::vector<TukeyComparison> out;
-  for (std::size_t a = 0; a < k; ++a) {
-    for (std::size_t b = a + 1; b < k; ++b) {
-      TukeyComparison c;
-      c.group_a = a;
-      c.group_b = b;
-      c.mean_difference = means[b] - means[a];
-      // Tukey-Kramer standard error for unequal n.
-      const double se = std::sqrt(ms_within / 2.0 * (1.0 / sizes[a] + 1.0 / sizes[b]));
-      c.q_statistic = se > 0.0 ? std::fabs(c.mean_difference) / se
-                               : std::numeric_limits<double>::infinity();
-      c.p_value = std::isfinite(c.q_statistic)
-                      ? 1.0 - studentized_range_cdf_inf_df(c.q_statistic,
-                                                           static_cast<int>(k))
-                      : 0.0;
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
 KruskalWallisResult kruskal_wallis(std::span<const std::vector<double>> groups) {
   validate_groups(groups);
   const std::size_t k = groups.size();

@@ -1,8 +1,8 @@
 #pragma once
 
-// One-way analysis of variance with effect size and Tukey HSD post-hoc
-// comparisons, plus the Kruskal–Wallis rank test — the §6.3/Appendix-B
-// toolchain the paper uses to establish the HO-type effect on HOF rates.
+// One-way analysis of variance with effect size, plus the Kruskal–Wallis
+// rank test — the §6.3/Appendix-B toolchain the paper uses to establish the
+// HO-type effect on HOF rates.
 
 #include <span>
 #include <string>
@@ -23,19 +23,6 @@ struct AnovaResult {
 /// One-way ANOVA over k groups. Throws if fewer than 2 groups or any group
 /// is empty, or if total sample size <= number of groups.
 AnovaResult one_way_anova(std::span<const std::vector<double>> groups);
-
-struct TukeyComparison {
-  std::size_t group_a = 0;
-  std::size_t group_b = 0;
-  double mean_difference = 0;
-  double q_statistic = 0;
-  double p_value = 0;  // via studentized range with infinite df
-};
-
-/// Tukey-Kramer HSD pairwise comparisons (unequal group sizes allowed).
-/// Uses the infinite-df studentized range distribution — appropriate here,
-/// where residual dfs are in the millions.
-std::vector<TukeyComparison> tukey_hsd(std::span<const std::vector<double>> groups);
 
 struct KruskalWallisResult {
   double h_statistic = 0;  // tie-corrected

@@ -129,27 +129,4 @@ double f_upper_p(double x, double d1, double d2) { return 1.0 - f_cdf(x, d1, d2)
 
 double normal_cdf(double z) { return 0.5 * std::erfc(-z / std::sqrt(2.0)); }
 
-double studentized_range_cdf_inf_df(double q, int k) {
-  if (k < 2) throw std::invalid_argument{"studentized_range_cdf_inf_df: k must be >= 2"};
-  if (q <= 0.0) return 0.0;
-  // P(Q < q) = k * Integral phi(z) * [Phi(z) - Phi(z - q)]^(k-1) dz.
-  // Simpson's rule over z in [-8, 8 + q]; the integrand decays like phi(z).
-  const double lo = -8.0;
-  const double hi = 8.0 + q;
-  const int n = 2000;  // even
-  const double h = (hi - lo) / n;
-  auto integrand = [&](double z) {
-    const double phi = std::exp(-0.5 * z * z) / std::sqrt(2.0 * M_PI);
-    const double inner = normal_cdf(z) - normal_cdf(z - q);
-    return phi * std::pow(inner, k - 1);
-  };
-  double sum = integrand(lo) + integrand(hi);
-  for (int i = 1; i < n; ++i) {
-    sum += integrand(lo + i * h) * (i % 2 ? 4.0 : 2.0);
-  }
-  const double integral = sum * h / 3.0;
-  const double cdf = k * integral;
-  return cdf < 0.0 ? 0.0 : (cdf > 1.0 ? 1.0 : cdf);
-}
-
 }  // namespace tl::analysis

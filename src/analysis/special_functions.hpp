@@ -31,9 +31,4 @@ double f_upper_p(double x, double d1, double d2);
 /// Standard normal CDF.
 double normal_cdf(double z);
 
-/// CDF of the studentized range statistic with k groups and infinite
-/// degrees of freedom (range of k iid standard normals). Used for
-/// Tukey HSD at the sample sizes of this study, where residual df is huge.
-double studentized_range_cdf_inf_df(double q, int k);
-
 }  // namespace tl::analysis

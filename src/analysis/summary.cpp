@@ -31,16 +31,6 @@ double mean(std::span<const double> values) {
   return sum / static_cast<double>(values.size());
 }
 
-double variance(std::span<const double> values) {
-  if (values.size() < 2) return 0.0;
-  const double m = mean(values);
-  double ss = 0.0;
-  for (const double v : values) ss += (v - m) * (v - m);
-  return ss / static_cast<double>(values.size() - 1);
-}
-
-double stddev(std::span<const double> values) { return std::sqrt(variance(values)); }
-
 SixNumberSummary summarize(std::span<const double> values) {
   if (values.empty()) throw std::invalid_argument{"summarize: empty input"};
   std::vector<double> sorted(values.begin(), values.end());

@@ -16,9 +16,6 @@ double quantile_sorted(std::span<const double> sorted, double p);
 
 double median(std::span<const double> values);
 double mean(std::span<const double> values);
-/// Sample variance (n-1); 0 for fewer than two values.
-double variance(std::span<const double> values);
-double stddev(std::span<const double> values);
 
 /// Min / 1st Qu / Median / Mean / 3rd Qu / Max, as R's summary() prints.
 struct SixNumberSummary {

@@ -41,12 +41,4 @@ StudyConfig StudyConfig::bench_scale() {
   return cfg;
 }
 
-StudyConfig StudyConfig::modeling_scale() {
-  StudyConfig cfg = bench_scale();
-  cfg.days = 14;
-  cfg.finalize();
-  cfg.population.count = 80'000;
-  return cfg;
-}
-
 }  // namespace tl::core

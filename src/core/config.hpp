@@ -31,12 +31,6 @@ struct StudyConfig {
   /// (in-place, no sharding), 0 = all hardware threads.
   unsigned threads = 1;
 
-  /// Floor on UEs per shard for the parallel engine: populations below
-  /// threads * shards_per_thread * this no longer fan out into shards too
-  /// small to amortize their fixed setup cost. Pure scheduling knob —
-  /// output bytes are invariant under it.
-  std::size_t min_ues_per_shard = 256;
-
   /// Reuse per-shard staging state (CoreNetwork + record/metrics buffers)
   /// across days instead of reallocating it every day. Byte-identical
   /// either way (each shard resets on entry); false restores the old
@@ -53,9 +47,6 @@ struct StudyConfig {
   /// Probability that a HO happens during an active voice call, per device
   /// type {smartphone, M2M/IoT, feature phone}: the SRVCC trigger.
   double voice_share[3] = {0.10, 0.004, 0.38};
-
-  /// Emit per-UE-day mobility metrics to metrics sinks.
-  bool collect_ue_metrics = true;
 
   /// Handover decision policy (src/policy). The default calibrated baseline
   /// reproduces the stock pipeline's record stream byte-for-byte; any other
@@ -82,8 +73,6 @@ struct StudyConfig {
   static StudyConfig test_scale();
   /// Default bench scale: large enough for stable national statistics.
   static StudyConfig bench_scale();
-  /// Heavier preset for the regression/modeling benches.
-  static StudyConfig modeling_scale();
 
   /// Full-scale reference values used when reporting "equivalent" national
   /// numbers (Table 1).

@@ -214,25 +214,15 @@ void Simulator::resolve_obs() {
   const std::uint64_t epoch = obs::global_epoch();
   if (epoch == obs_epoch_) return;
   obs_epoch_ = epoch;
-  obs::MetricsRegistry* reg = obs::global_registry();
-  if (reg == nullptr) {
-    obs_days_ = obs::Counter{};
-    obs_ue_days_ = obs::Counter{};
-    obs_records_ = obs::Counter{};
-    obs_quarantined_ = obs::Gauge{};
-    obs_day_seconds_ = obs::Histogram{};
-    obs_serial_sim_seconds_ = obs::Histogram{};
-    return;
-  }
-  obs_days_ = reg->counter("tl_sim_days_total", "Study days simulated");
-  obs_ue_days_ = reg->counter("tl_sim_ue_days_total",
+  obs_days_ = obs::counter("tl_sim_days_total", "Study days simulated");
+  obs_ue_days_ = obs::counter("tl_sim_ue_days_total",
                               "UE-days simulated (quarantined UEs excluded)");
-  obs_records_ = reg->counter("tl_sim_records_total",
+  obs_records_ = obs::counter("tl_sim_records_total",
                               "Handover records emitted to the sinks");
-  obs_quarantined_ = reg->gauge("tl_sim_quarantined_ues",
+  obs_quarantined_ = obs::gauge("tl_sim_quarantined_ues",
                                 "UEs currently withdrawn from the study");
   obs_day_seconds_ =
-      reg->histogram("tl_sim_day_seconds",
+      obs::histogram("tl_sim_day_seconds",
                      obs::MetricsRegistry::latency_edges_s(),
                      "Wall time per simulated study day");
   // Same family ShardedDayRunner records its worker spans into
@@ -241,7 +231,7 @@ void Simulator::resolve_obs() {
   // --profile breakdown — is populated at 1 thread too instead of silently
   // reading zero.
   obs_serial_sim_seconds_ =
-      reg->histogram("tl_exec_shard_sim_seconds",
+      obs::histogram("tl_exec_shard_sim_seconds",
                      obs::MetricsRegistry::latency_edges_s(),
                      "Worker-side simulate time per shard");
 }
@@ -312,7 +302,7 @@ struct Simulator::DayShards {
 
 void Simulator::simulate_day(int day) {
   const auto& ues = population_->ues();
-  const bool want_metrics = config_.collect_ue_metrics && !metrics_sinks_.empty();
+  const bool want_metrics = !metrics_sinks_.empty();
   const unsigned threads = exec::ThreadPool::resolve_threads(config_.threads);
   if (ues.size() <= 1 || (supervisor_ == nullptr && threads <= 1)) {
     // Serial: the same loop run inline, aimed straight at the live sinks
@@ -338,7 +328,7 @@ void Simulator::simulate_day(int day) {
       runner_obs_epoch_ != obs::global_epoch()) {
     exec::ShardedDayRunner::Options opt;
     opt.threads = threads;
-    opt.min_items_per_shard = config_.min_ues_per_shard;
+    opt.min_items_per_shard = kMinUesPerShard;
     runner_ = std::make_unique<exec::ShardedDayRunner>(opt);
     runner_obs_epoch_ = obs::global_epoch();
   }
@@ -452,7 +442,7 @@ void Simulator::simulate_range(int day, std::size_t first, std::size_t last,
     // never sees — but their mobility metrics still exist network-side.
     if (topology::supports(ue.rat_support, topology::Rat::kG4)) {
       simulate_ue_day(ue, plans_[ue.id], day, out);
-    } else if (config_.collect_ue_metrics && !out.metrics_sinks.empty()) {
+    } else if (!out.metrics_sinks.empty()) {
       simulate_legacy_ue_day(ue, plans_[ue.id], day, out);
     }
   }
@@ -671,7 +661,7 @@ void Simulator::simulate_ue_day(const devices::Ue& ue, const mobility::UePlan& p
     }
   }
 
-  if (config_.collect_ue_metrics && !out.metrics_sinks.empty()) {
+  if (!out.metrics_sinks.empty()) {
     if (serving != kInvalidSector) {
       const auto& last = deployment_->sector(serving);
       metrics.add_visit(serving, deployment_->site(last.site).location,

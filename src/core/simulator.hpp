@@ -70,6 +70,12 @@ struct DayCheckpoint {
 
 class Simulator {
  public:
+  /// Floor on UEs per shard for the parallel engine: populations below
+  /// threads * shards_per_thread * this no longer fan out into shards too
+  /// small to amortize their fixed setup cost. Output bytes do not depend
+  /// on it.
+  static constexpr std::size_t kMinUesPerShard = 256;
+
   explicit Simulator(StudyConfig config);
   ~Simulator();
 

@@ -64,18 +64,4 @@ DurationModel::Calibration DurationModel::success_calibration(
   return {};
 }
 
-DurationModel::Calibration DurationModel::failure_calibration(CauseId cause) noexcept {
-  switch (cause) {
-    case kCause1SourceCancelled: return {kCancelMedian, kCancelP95};
-    case kCause2InterferingInitialUe: return {kInterfereMedian, kInterfereP95};
-    case kCause3InvalidTargetId: return {0.0, 0.0};
-    case kCause4TargetLoadTooHigh: return {kOverloadMedian, kOverloadP95};
-    case kCause5MmeDetectedFailure: return {kMmeMedian, kMmeP95};
-    case kCause6SrvccNotSubscribed: return {0.0, 0.0};
-    case kCause7PsToCsFailure: return {kPsToCsMedian, kPsToCsP95};
-    case kCause8RelocationTimeout: return {kTimeoutMedian, kTimeoutP95};
-    default: return {kTailMedian, kTailP95};
-  }
-}
-
 }  // namespace tl::corenet

@@ -32,7 +32,6 @@ class DurationModel {
     double p95_ms = 0;
   };
   static Calibration success_calibration(topology::ObservedRat target) noexcept;
-  static Calibration failure_calibration(CauseId cause) noexcept;
 
  private:
   util::LogNormal success_intra_;

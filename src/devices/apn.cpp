@@ -1,17 +1,11 @@
 #include "devices/apn.hpp"
 
-#include <algorithm>
 #include <array>
-#include <cctype>
+#include <string_view>
 
 namespace tl::devices {
 
 namespace {
-
-constexpr std::array<std::string_view, 8> kIotKeywords{
-    "m2m", "iot", "smart-meter", "smartmeter", "telemetry",
-    "fleet", "scada", "vending",
-};
 
 constexpr std::array<std::string_view, 6> kIotApns{
     "m2m.operator.net",      "iot.operator.net",       "smart-meter.energy.net",
@@ -25,13 +19,6 @@ constexpr std::array<std::string_view, 4> kConsumerApns{
     "broadband.operator.net",
 };
 
-std::string to_lower(std::string_view s) {
-  std::string out{s};
-  std::transform(out.begin(), out.end(), out.begin(),
-                 [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
-  return out;
-}
-
 }  // namespace
 
 std::string sample_apn(DeviceType type, util::Rng& rng) {
@@ -44,14 +31,6 @@ std::string sample_apn(DeviceType type, util::Rng& rng) {
     return std::string{kConsumerApns[rng.below(kConsumerApns.size())]};
   }
   return std::string{kConsumerApns[rng.below(kConsumerApns.size())]};
-}
-
-bool is_iot_apn(std::string_view apn) noexcept {
-  const std::string lower = to_lower(apn);
-  for (const std::string_view kw : kIotKeywords) {
-    if (lower.find(kw) != std::string::npos) return true;
-  }
-  return false;
 }
 
 }  // namespace tl::devices

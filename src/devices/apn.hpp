@@ -1,14 +1,14 @@
 #pragma once
 
-// Access Point Names and the IoT-vertical keyword heuristic (§3.1).
+// Access Point Names (§3.1).
 //
 // The paper classifies devices by combining GSMA catalog attributes with
 // the APN configured for the UE: APNs of IoT verticals carry recognizable
 // keywords ("m2m", "smart-meter", ...). We synthesize realistic APNs per
-// device and reproduce the keyword matcher.
+// device; the simulated population carries its ground-truth type, so no
+// classifier runs on them.
 
 #include <string>
-#include <string_view>
 
 #include "devices/device_type.hpp"
 #include "util/rng.hpp"
@@ -20,8 +20,5 @@ namespace tl::devices {
 /// generic internet APNs. A minority of M2M UEs use consumer APNs, which is
 /// exactly what makes classification a heuristic.
 std::string sample_apn(DeviceType type, util::Rng& rng);
-
-/// True when the APN contains an IoT-vertical keyword.
-bool is_iot_apn(std::string_view apn) noexcept;
 
 }  // namespace tl::devices

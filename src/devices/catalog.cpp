@@ -104,7 +104,6 @@ Catalog Catalog::build(const CatalogConfig& config) {
       model.manufacturer = m.id;
       model.type = m.type;
       model.rat_support = static_cast<RatSupport>(cap_sampler.sample(rng));
-      catalog.tac_index_.emplace(model.tac, catalog.models_.size());
       catalog.models_.push_back(model);
     }
   }
@@ -124,11 +123,6 @@ Catalog Catalog::build(const CatalogConfig& config) {
     catalog.model_weights_by_type_[type_idx].push_back(base * skew);
   }
   return catalog;
-}
-
-const DeviceModel* Catalog::find(Tac tac) const {
-  const auto it = tac_index_.find(tac);
-  return it == tac_index_.end() ? nullptr : &models_[it->second];
 }
 
 const DeviceModel& Catalog::sample_model(DeviceType type, util::Rng& rng) const {

@@ -7,13 +7,12 @@
 // supported RATs. This module synthesizes that database: a manufacturer
 // roster with the paper's market shares and per-manufacturer behaviour
 // multipliers (Fig. 11's outliers: KVD and HMD at +600% HOF rate, Simcom at
-// +293% HOs per UE, Google at -27% HOF), plus a TAC-indexed model table.
+// +293% HOs per UE, Google at -27% HOF), plus a table of TAC-coded models.
 
 #include <array>
 #include <cstdint>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "devices/device_type.hpp"
@@ -60,9 +59,6 @@ class Catalog {
 
   const Manufacturer& manufacturer(ManufacturerId id) const { return manufacturers_.at(id); }
 
-  /// TAC lookup, as the operator pipeline does with the daily GSMA dump.
-  const DeviceModel* find(Tac tac) const;
-
   /// Samples a model of the given device type according to market shares.
   const DeviceModel& sample_model(DeviceType type, util::Rng& rng) const;
 
@@ -72,7 +68,6 @@ class Catalog {
  private:
   std::vector<Manufacturer> manufacturers_;
   std::vector<DeviceModel> models_;
-  std::unordered_map<Tac, std::size_t> tac_index_;
   // Per device type: model indices and their sampling weights.
   std::array<std::vector<std::size_t>, 3> models_by_type_;
   std::array<std::vector<double>, 3> model_weights_by_type_;

@@ -39,7 +39,6 @@ Population Population::build(const geo::Country& country, const Catalog& catalog
   util::DiscreteSampler type_sampler{kDeviceTypeShares};
 
   pop.ues_.reserve(config.count);
-  pop.by_district_.resize(districts.size());
   for (UeId id = 0; id < config.count; ++id) {
     Ue ue;
     ue.id = id;
@@ -68,14 +67,9 @@ Population Population::build(const geo::Country& country, const Catalog& catalog
     ue.hof_multiplier =
         static_cast<float>(maker.hof_multiplier * std::exp(rng.normal(0.0, 0.25)));
 
-    pop.by_district_[ue.home_district].push_back(id);
     pop.ues_.push_back(std::move(ue));
   }
   return pop;
-}
-
-std::span<const UeId> Population::in_district(geo::DistrictId d) const {
-  return by_district_.at(d);
 }
 
 std::array<double, 3> Population::type_shares() const {

@@ -34,6 +34,8 @@ struct Ue {
   geo::DistrictId home_district = 0;
   /// Whether the subscriber has the SRVCC service (HOF Cause #6 hinges on it).
   bool srvcc_subscribed = true;
+  /// Configured APN. No analysis reads it, but its sample_apn draw advances
+  /// the build RNG: dropping it would change every UE drawn after it.
   std::string apn;
   /// Per-device multipliers on HO volume and failure propensity
   /// (manufacturer effect x individual lognormal variation).
@@ -59,9 +61,6 @@ class Population {
   const Ue& ue(UeId id) const { return ues_.at(id); }
   std::size_t size() const noexcept { return ues_.size(); }
 
-  /// UEs with the given home district.
-  std::span<const UeId> in_district(geo::DistrictId d) const;
-
   /// Share of UEs per device type (Fig. 4a check).
   std::array<double, 3> type_shares() const;
 
@@ -70,7 +69,6 @@ class Population {
 
  private:
   std::vector<Ue> ues_;
-  std::vector<std::vector<UeId>> by_district_;
 };
 
 }  // namespace tl::devices

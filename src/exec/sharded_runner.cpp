@@ -17,21 +17,19 @@ ShardedDayRunner::ShardedDayRunner() : ShardedDayRunner(Options{}) {}
 ShardedDayRunner::ShardedDayRunner(Options options)
     : options_(options), pool_(options.threads) {
   if (options_.shards_per_thread == 0) options_.shards_per_thread = 1;
-  if (obs::MetricsRegistry* reg = obs::global_registry()) {
-    shards_total_ = reg->counter("tl_exec_shards_simulated_total",
-                                 "Shards simulated by the day runner");
-    throttle_waits_total_ =
-        reg->counter("tl_govern_backpressure_waits_total",
-                     "Shard starts delayed by the backpressure gate");
-    shard_sim_seconds_ =
-        reg->histogram("tl_exec_shard_sim_seconds",
-                       obs::MetricsRegistry::latency_edges_s(),
-                       "Worker-side simulate time per shard");
-    shard_merge_seconds_ =
-        reg->histogram("tl_exec_shard_merge_seconds",
-                       obs::MetricsRegistry::latency_edges_s(),
-                       "Caller-side ordered merge time per shard");
-  }
+  shards_total_ = obs::counter("tl_exec_shards_simulated_total",
+                               "Shards simulated by the day runner");
+  throttle_waits_total_ =
+      obs::counter("tl_govern_backpressure_waits_total",
+                   "Shard starts delayed by the backpressure gate");
+  shard_sim_seconds_ =
+      obs::histogram("tl_exec_shard_sim_seconds",
+                     obs::MetricsRegistry::latency_edges_s(),
+                     "Worker-side simulate time per shard");
+  shard_merge_seconds_ =
+      obs::histogram("tl_exec_shard_merge_seconds",
+                     obs::MetricsRegistry::latency_edges_s(),
+                     "Caller-side ordered merge time per shard");
 }
 
 std::size_t ShardedDayRunner::shard_count(std::size_t item_count) const noexcept {

@@ -14,16 +14,14 @@ unsigned ThreadPool::resolve_threads(unsigned requested) noexcept {
 }
 
 ThreadPool::ThreadPool(unsigned threads) {
-  if (obs::MetricsRegistry* reg = obs::global_registry()) {
-    tasks_total_ = reg->counter("tl_exec_pool_tasks_total",
-                                "Tasks executed by the worker pool");
-    queue_depth_ = reg->gauge("tl_exec_pool_queue_depth",
-                              "Tasks currently queued, not yet started");
-    task_seconds_ =
-        reg->histogram("tl_exec_pool_task_seconds",
-                       obs::MetricsRegistry::latency_edges_s(),
-                       "Wall time per pool task");
-  }
+  tasks_total_ = obs::counter("tl_exec_pool_tasks_total",
+                              "Tasks executed by the worker pool");
+  queue_depth_ = obs::gauge("tl_exec_pool_queue_depth",
+                            "Tasks currently queued, not yet started");
+  task_seconds_ =
+      obs::histogram("tl_exec_pool_task_seconds",
+                     obs::MetricsRegistry::latency_edges_s(),
+                     "Wall time per pool task");
   const unsigned n = resolve_threads(threads);
   workers_.reserve(n);
   for (unsigned i = 0; i < n; ++i) workers_.emplace_back([this] { worker_loop(); });

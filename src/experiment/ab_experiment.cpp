@@ -3,40 +3,14 @@
 #include <cstdio>
 #include <ostream>
 
-#include "analysis/pingpong.hpp"
 #include "core/simulator.hpp"
+#include "telemetry/pingpong.hpp"
 #include "telemetry/record_log.hpp"
-#include "util/crc32c.hpp"
 #include "util/sim_time.hpp"
 
 namespace tl::experiment {
 
 namespace {
-
-/// Per-arm stream probe: encoded-record CRC (the arm's identity) plus the
-/// ping-pong feed over successful hops.
-class StreamProbe final : public telemetry::RecordSink {
- public:
-  explicit StreamProbe(std::int64_t window_ms) : pingpong_(window_ms) {}
-
-  void consume(const telemetry::HandoverRecord& record) override {
-    buffer_.clear();
-    telemetry::RecordLog::encode_record(record, buffer_);
-    crc_.update(buffer_.data(), buffer_.size());
-    if (record.success) {
-      pingpong_.observe(analysis::HandoverHop{record.anon_user_id, record.timestamp,
-                                              record.source_sector, record.target_sector});
-    }
-  }
-
-  std::uint32_t crc() const noexcept { return crc_.value(); }
-  const analysis::PingPongDetector& pingpong() const noexcept { return pingpong_; }
-
- private:
-  util::Crc32c crc_;
-  analysis::PingPongDetector pingpong_;
-  std::vector<std::uint8_t> buffer_;
-};
 
 /// Hourly HO/HOF tallies per area (the TemporalAggregator's 30-min series
 /// folded to hour-of-day would also work, but tallying directly keeps this
@@ -242,17 +216,19 @@ ArmReport AbExperiment::run_arm(const policy::PolicyConfig& policy,
   telemetry::DistrictAggregator districts{n_districts, n_makers};
   telemetry::CauseAggregator causes{cfg.days, n_makers};
   HourlyProbe hourly;
-  StreamProbe probe{config_.ping_pong_window_ms};
+  telemetry::PingPongDetector pingpong{config_.ping_pong_window_ms};
+  telemetry::ChecksumSink stream;  // the arm's identity
   sim.add_sink(&districts);
   sim.add_sink(&causes);
   sim.add_sink(&hourly);
-  sim.add_sink(&probe);
+  sim.add_sink(&pingpong);
+  sim.add_sink(&stream);
   sim.run();
 
   ArmReport r;
   r.label = label;
   r.policy = std::string{policy::to_string(policy.kind)};
-  r.stream_crc = probe.crc();
+  r.stream_crc = stream.checksum();
   r.cause_buckets = causes.totals_by_bucket();
   r.hof_by_target = causes.failures_by_target();
   r.hourly_handovers = hourly.ho();
@@ -274,9 +250,9 @@ ArmReport AbExperiment::run_arm(const policy::PolicyConfig& policy,
       r.area_failures[a] += r.hourly_failures[a][static_cast<std::size_t>(h)];
     }
   }
-  r.pp_hops = probe.pingpong().hops();
-  r.ping_pongs = probe.pingpong().ping_pongs();
-  r.bouncing_ues = probe.pingpong().bouncing_ues();
+  r.pp_hops = pingpong.total_handovers();
+  r.ping_pongs = pingpong.ping_pongs();
+  r.bouncing_ues = pingpong.bouncing_ues();
   return r;
 }
 

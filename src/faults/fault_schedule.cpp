@@ -2,19 +2,6 @@
 
 namespace tl::faults {
 
-const char* to_string(FaultKind kind) noexcept {
-  switch (kind) {
-    case FaultKind::kSectorOutage: return "sector outage";
-    case FaultKind::kSiteOutage: return "site outage";
-    case FaultKind::kSectorDegraded: return "sector degradation";
-    case FaultKind::kRegionalBackhaulCut: return "regional backhaul cut";
-    case FaultKind::kCoreOverloadStorm: return "core overload storm";
-    case FaultKind::kVendorBugWave: return "vendor software-bug wave";
-    case FaultKind::kSignalingStorm: return "signaling storm";
-  }
-  return "?";
-}
-
 bool FaultEvent::active_in_bin(int day, int bin) const noexcept {
   const util::TimestampMs bin_start = static_cast<util::TimestampMs>(day) * util::kMsPerDay +
                                       static_cast<util::TimestampMs>(bin) * 30 *
@@ -24,14 +11,10 @@ bool FaultEvent::active_in_bin(int day, int bin) const noexcept {
 }
 
 void FaultSchedule::add(const FaultEvent& event) {
-  switch (event.kind) {
-    case FaultKind::kSectorOutage:
-    case FaultKind::kSiteOutage:
-      outages_.push_back(event);
-      break;
-    default:
-      modifiers_.push_back(event);
-      break;
+  if (event.kind == FaultKind::kSectorOutage) {
+    outages_.push_back(event);
+  } else {
+    modifiers_.push_back(event);
   }
 }
 
@@ -39,22 +22,11 @@ void FaultSchedule::add(const std::vector<FaultEvent>& events) {
   for (const auto& e : events) add(e);
 }
 
-bool FaultSchedule::sector_out(topology::SectorId sector, topology::SiteId site,
-                               util::TimestampMs t) const noexcept {
-  for (const auto& e : outages_) {
-    if (!e.active_at(t)) continue;
-    if (e.kind == FaultKind::kSectorOutage && e.sector == sector) return true;
-    if (e.kind == FaultKind::kSiteOutage && e.site == site) return true;
-  }
-  return false;
-}
-
 bool FaultSchedule::forced_off(const topology::RadioSector& sector, int day,
                                int half_hour_bin) const noexcept {
   for (const auto& e : outages_) {
     if (!e.active_in_bin(day, half_hour_bin)) continue;
-    if (e.kind == FaultKind::kSectorOutage && e.sector == sector.id) return true;
-    if (e.kind == FaultKind::kSiteOutage && e.site == sector.site) return true;
+    if (e.sector == sector.id) return true;
   }
   return false;
 }
@@ -69,7 +41,6 @@ double FaultSchedule::hof_multiplier(topology::SectorId source_sector,
       case FaultKind::kSectorDegraded:
         if (e.sector == source_sector) multiplier *= e.hof_multiplier;
         break;
-      case FaultKind::kRegionalBackhaulCut:
       case FaultKind::kCoreOverloadStorm:
         if (e.region == region) multiplier *= e.hof_multiplier;
         break;

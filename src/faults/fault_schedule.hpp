@@ -4,9 +4,9 @@
 //
 // The paper's §6 is about *failure*: HOF causes cluster in sector-day
 // incidents (Table 6 / Fig. 16) rather than spreading evenly. This module
-// lets a study script those incidents — sector and site outages, regional
-// backhaul cuts, core-entity overload storms, vendor software-bug waves,
-// paging/signaling storms — as explicit time-windowed events. The simulator
+// lets a study script those incidents — sector outages and degradations,
+// core-entity overload storms, vendor software-bug waves, paging/signaling
+// storms — as explicit time-windowed events. The simulator
 // hot path consults the active schedule (FailureModel for HOF inflation,
 // EnergySavingPolicy/locate_sector for sector availability, the load path
 // for overload boosts), so injected faults flow into records, causes and
@@ -29,14 +29,9 @@ namespace tl::faults {
 enum class FaultKind : std::uint8_t {
   /// One radio sector off-air (hardware failure, fiber cut to the head).
   kSectorOutage = 0,
-  /// Every sector on a cell site off-air (power loss, site backhaul cut).
-  kSiteOutage,
   /// One sector stays on-air but its HOF probability is inflated (the
   /// Table 6 sector-day incident shape: a bad day, not a dead sector).
   kSectorDegraded,
-  /// Regional transport degradation: all HOs sourced in the region fail
-  /// more often (timeouts on the relocation path).
-  kRegionalBackhaulCut,
   /// Core-entity (MME/SGW pool) overload: regional HOF inflation plus an
   /// overload boost that steers failures toward Cause #4.
   kCoreOverloadStorm,
@@ -48,8 +43,6 @@ enum class FaultKind : std::uint8_t {
   kSignalingStorm,
 };
 
-const char* to_string(FaultKind kind) noexcept;
-
 /// One scripted incident. `start`/`end` bound the window as [start, end) in
 /// study milliseconds; the scope fields that apply depend on `kind`.
 struct FaultEvent {
@@ -59,7 +52,6 @@ struct FaultEvent {
 
   // Scope selectors (only the ones the kind needs are read).
   topology::SectorId sector = topology::kInvalidSector;
-  topology::SiteId site = topology::kInvalidSite;
   geo::Region region = geo::Region::kCapital;
   topology::Vendor vendor = topology::Vendor::kV1;
 
@@ -88,11 +80,6 @@ class FaultSchedule final : public topology::SectorAvailabilityOverride {
   bool empty() const noexcept { return outages_.empty() && modifiers_.empty(); }
   std::size_t size() const noexcept { return outages_.size() + modifiers_.size(); }
 
-  /// True when an outage event covers `sector` (directly or via its site)
-  /// at exact time `t`.
-  bool sector_out(topology::SectorId sector, topology::SiteId site,
-                  util::TimestampMs t) const noexcept;
-
   /// topology::SectorAvailabilityOverride: bin-granular availability, as the
   /// energy-saving policy (and through it the serving-sector lookup) sees
   /// it. A sector is forced off for every bin its outage window overlaps.
@@ -107,9 +94,6 @@ class FaultSchedule final : public topology::SectorAvailabilityOverride {
   /// Sum of the overload boosts of every modifier event active at `t`
   /// scoped to `region`. Caller clamps the boosted overload to [0, 1].
   double overload_boost(geo::Region region, util::TimestampMs t) const noexcept;
-
-  const std::vector<FaultEvent>& outages() const noexcept { return outages_; }
-  const std::vector<FaultEvent>& modifiers() const noexcept { return modifiers_; }
 
  private:
   std::vector<FaultEvent> outages_;

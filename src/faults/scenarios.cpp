@@ -16,32 +16,11 @@ FaultEvent sector_outage(topology::SectorId sector, util::TimestampMs start,
   return e;
 }
 
-FaultEvent site_outage(topology::SiteId site, util::TimestampMs start,
-                       util::TimestampMs end) {
-  FaultEvent e;
-  e.kind = FaultKind::kSiteOutage;
-  e.site = site;
-  e.start = start;
-  e.end = end;
-  return e;
-}
-
 FaultEvent sector_degradation(topology::SectorId sector, util::TimestampMs start,
                               util::TimestampMs end, double hof_multiplier) {
   FaultEvent e;
   e.kind = FaultKind::kSectorDegraded;
   e.sector = sector;
-  e.start = start;
-  e.end = end;
-  e.hof_multiplier = hof_multiplier;
-  return e;
-}
-
-FaultEvent backhaul_cut(geo::Region region, util::TimestampMs start,
-                        util::TimestampMs end, double hof_multiplier) {
-  FaultEvent e;
-  e.kind = FaultKind::kRegionalBackhaulCut;
-  e.region = region;
   e.start = start;
   e.end = end;
   e.hof_multiplier = hof_multiplier;

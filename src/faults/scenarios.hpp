@@ -26,12 +26,8 @@ constexpr util::TimestampMs at_hour(int day, double hour) noexcept {
 
 FaultEvent sector_outage(topology::SectorId sector, util::TimestampMs start,
                          util::TimestampMs end);
-FaultEvent site_outage(topology::SiteId site, util::TimestampMs start,
-                       util::TimestampMs end);
 FaultEvent sector_degradation(topology::SectorId sector, util::TimestampMs start,
                               util::TimestampMs end, double hof_multiplier = 25.0);
-FaultEvent backhaul_cut(geo::Region region, util::TimestampMs start,
-                        util::TimestampMs end, double hof_multiplier = 6.0);
 FaultEvent core_overload_storm(geo::Region region, util::TimestampMs start,
                                util::TimestampMs end, double hof_multiplier = 3.0,
                                double overload_boost = 0.35);

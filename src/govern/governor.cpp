@@ -238,23 +238,14 @@ void MemoryBudget::resolve_obs_locked() {
   const std::uint64_t epoch = obs::global_epoch();
   if (epoch == obs_epoch_) return;
   obs_epoch_ = epoch;
-  obs::MetricsRegistry* reg = obs::global_registry();
-  if (reg == nullptr) {
-    obs_used_ = {};
-    obs_budget_ = {};
-    obs_level_ = {};
-    obs_level_changes_ = {};
-    obs_alloc_failures_ = {};
-    return;
-  }
-  obs_used_ = reg->gauge("tl_govern_used_bytes", "accounted bytes in use");
+  obs_used_ = obs::gauge("tl_govern_used_bytes", "accounted bytes in use");
   obs_budget_ =
-      reg->gauge("tl_govern_budget_bytes", "effective memory budget (0=off)");
-  obs_level_ = reg->gauge("tl_govern_pressure_level",
+      obs::gauge("tl_govern_budget_bytes", "effective memory budget (0=off)");
+  obs_level_ = obs::gauge("tl_govern_pressure_level",
                           "0=steady 1=elevated 2=critical");
-  obs_level_changes_ = reg->counter("tl_govern_level_changes_total",
+  obs_level_changes_ = obs::counter("tl_govern_level_changes_total",
                                     "hysteretic pressure-level transitions");
-  obs_alloc_failures_ = reg->counter("tl_govern_allocation_failures_total",
+  obs_alloc_failures_ = obs::counter("tl_govern_allocation_failures_total",
                                      "bad_alloc events reported for escalation");
 }
 

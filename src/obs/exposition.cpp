@@ -8,8 +8,8 @@
 namespace tl::obs {
 namespace {
 
-/// Shortest round-trip-safe formatting; Prometheus and JSON both want plain
-/// decimal or scientific, never locale commas or "nan"/"inf" in JSON.
+/// Shortest round-trip-safe formatting: plain decimal or scientific, never
+/// locale commas; NaN and infinities in Prometheus spelling.
 std::string fmt(double value) {
   if (std::isnan(value)) return "NaN";
   if (std::isinf(value)) return value > 0 ? "+Inf" : "-Inf";
@@ -30,18 +30,6 @@ void write_help_type(std::ostream& os, const std::string& name,
                      const std::string& help, const char* type) {
   if (!help.empty()) os << "# HELP " << name << " " << help << "\n";
   os << "# TYPE " << name << " " << type << "\n";
-}
-
-void json_escape(std::ostream& os, const std::string& s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default: os << c;
-    }
-  }
 }
 
 }  // namespace
@@ -71,50 +59,9 @@ void write_prometheus(std::ostream& os, const MetricsSnapshot& snapshot) {
   }
 }
 
-void write_json(std::ostream& os, const MetricsSnapshot& snapshot) {
-  os << "{\n  \"counters\": {";
-  for (std::size_t i = 0; i < snapshot.counters.size(); ++i) {
-    const auto& c = snapshot.counters[i];
-    os << (i ? ",\n    " : "\n    ") << "\"";
-    json_escape(os, c.name);
-    os << "\": " << c.value;
-  }
-  os << (snapshot.counters.empty() ? "" : "\n  ") << "},\n  \"gauges\": {";
-  for (std::size_t i = 0; i < snapshot.gauges.size(); ++i) {
-    const auto& g = snapshot.gauges[i];
-    os << (i ? ",\n    " : "\n    ") << "\"";
-    json_escape(os, g.name);
-    os << "\": " << fmt(g.value);
-  }
-  os << (snapshot.gauges.empty() ? "" : "\n  ") << "},\n  \"histograms\": {";
-  for (std::size_t i = 0; i < snapshot.histograms.size(); ++i) {
-    const auto& h = snapshot.histograms[i];
-    os << (i ? ",\n    " : "\n    ") << "\"";
-    json_escape(os, h.name);
-    os << "\": {\"edges\": [";
-    for (std::size_t e = 0; e < h.edges.size(); ++e) {
-      os << (e ? ", " : "") << fmt(h.edges[e]);
-    }
-    os << "], \"counts\": [";
-    for (std::size_t c = 0; c < h.counts.size(); ++c) {
-      os << (c ? ", " : "") << h.counts[c];
-    }
-    os << "], \"underflow\": " << h.underflow << ", \"overflow\": " << h.overflow
-       << ", \"nan\": " << h.nan << ", \"count\": " << h.count
-       << ", \"sum\": " << fmt(h.sum) << "}";
-  }
-  os << (snapshot.histograms.empty() ? "" : "\n  ") << "}\n}\n";
-}
-
 std::string to_prometheus(const MetricsSnapshot& snapshot) {
   std::ostringstream os;
   write_prometheus(os, snapshot);
-  return os.str();
-}
-
-std::string to_json(const MetricsSnapshot& snapshot) {
-  std::ostringstream os;
-  write_json(os, snapshot);
   return os.str();
 }
 

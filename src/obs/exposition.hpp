@@ -1,17 +1,14 @@
 #pragma once
 
-// Exposition writers: serialize a MetricsSnapshot for scraping.
+// Exposition writer: serializes a MetricsSnapshot in the Prometheus text
+// format (v0.0.4) for scraping. Counters end in _total, histograms expand to
+// cumulative _bucket{le=...} series plus _sum/_count, gauges are plain
+// samples. `network_ops_report --metrics-out metrics.prom` writes this so a
+// textfile-collector (or curl | promtool) can ingest a running study's
+// internals.
 //
-//  - Prometheus text format (v0.0.4): counters end in _total, histograms
-//    expand to cumulative _bucket{le=...} series plus _sum/_count, gauges
-//    are plain samples. `network_ops_report --metrics-out metrics.prom`
-//    writes this so a textfile-collector (or curl | promtool) can ingest a
-//    running study's internals.
-//  - JSON: one object per metric kind, numbers as numbers — the BENCH_obs
-//    artifact and ad-hoc tooling read this.
-//
-// Both writers emit metrics in name order (MetricsSnapshot is sorted), so
-// output is byte-stable for a given snapshot.
+// Metrics are written in name order (MetricsSnapshot is sorted), so output
+// is byte-stable for a given snapshot.
 
 #include <iosfwd>
 #include <string>
@@ -21,9 +18,6 @@
 namespace tl::obs {
 
 void write_prometheus(std::ostream& os, const MetricsSnapshot& snapshot);
-void write_json(std::ostream& os, const MetricsSnapshot& snapshot);
-
 std::string to_prometheus(const MetricsSnapshot& snapshot);
-std::string to_json(const MetricsSnapshot& snapshot);
 
 }  // namespace tl::obs

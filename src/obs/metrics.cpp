@@ -241,4 +241,20 @@ std::uint64_t global_epoch() noexcept {
   return g_epoch.load(std::memory_order_acquire);
 }
 
+Counter counter(const std::string& name, const std::string& help) {
+  MetricsRegistry* reg = global_registry();
+  return reg != nullptr ? reg->counter(name, help) : Counter{};
+}
+
+Gauge gauge(const std::string& name, const std::string& help) {
+  MetricsRegistry* reg = global_registry();
+  return reg != nullptr ? reg->gauge(name, help) : Gauge{};
+}
+
+Histogram histogram(const std::string& name, std::vector<double> edges,
+                    const std::string& help) {
+  MetricsRegistry* reg = global_registry();
+  return reg != nullptr ? reg->histogram(name, std::move(edges), help) : Histogram{};
+}
+
 }  // namespace tl::obs

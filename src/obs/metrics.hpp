@@ -22,10 +22,12 @@
 //     per operation) so the overhead bench can compare on/off on one world.
 //
 // Instrumented components resolve their handles from the process-global
-// registry (set_global_registry). Short-lived components (ThreadPool,
-// ShardedDayRunner) capture at construction; long-lived ones (Simulator,
-// RecordLog, StudySupervisor) re-resolve when the global epoch changes, so
-// installing a registry between runs of a shared world "just works".
+// registry (set_global_registry) through obs::counter/gauge/histogram, which
+// hand out no-op handles while none is installed. Short-lived components
+// (ThreadPool, ShardedDayRunner) capture at construction; long-lived ones
+// (Simulator, RecordLog, StudySupervisor) re-resolve when the global epoch
+// changes, so installing a registry between runs of a shared world "just
+// works".
 //
 // Histogram binning deliberately reuses analysis::Histogram as the edge
 // oracle: its validated constructor (monotone edges, >= 2 of them) and
@@ -244,6 +246,14 @@ class MetricsRegistry {
 MetricsRegistry* global_registry() noexcept;
 void set_global_registry(MetricsRegistry* registry) noexcept;
 std::uint64_t global_epoch() noexcept;
+
+/// Handles from the global registry: registered there (same contract as the
+/// MetricsRegistry methods), or no-op handles when none is installed.
+/// Long-lived components call these again whenever global_epoch() moves.
+Counter counter(const std::string& name, const std::string& help = "");
+Gauge gauge(const std::string& name, const std::string& help = "");
+Histogram histogram(const std::string& name, std::vector<double> edges,
+                    const std::string& help = "");
 
 /// RAII install/restore, for tests and benches.
 class ScopedGlobalRegistry {

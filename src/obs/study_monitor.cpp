@@ -67,8 +67,4 @@ void StudyMonitor::write_prometheus_file(const std::string& path) {
   write_file(path, to_prometheus(registry_.scrape()));
 }
 
-void StudyMonitor::write_json_file(const std::string& path) {
-  write_file(path, to_json(registry_.scrape()));
-}
-
 }  // namespace tl::obs

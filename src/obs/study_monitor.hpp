@@ -6,8 +6,8 @@
 // into the numbers a NOC dashboard wants — interval throughput (UE-days/sec,
 // records/sec since the previous snapshot), cumulative totals, and the
 // headline health indicators (retry pressure, quarantine size, WAL volume).
-// It also fronts the exposition writers so callers can dump metrics.prom /
-// metrics.json without touching the registry directly.
+// It also fronts the exposition writer so callers can dump metrics.prom
+// without touching the registry directly.
 //
 // Scrape cadence is the caller's: per day, per N seconds from a sidecar
 // thread, or once at the end of a run. snapshot() is thread-safe against
@@ -47,10 +47,9 @@ class StudyMonitor {
 
   Snapshot snapshot();
 
-  /// Scrapes and writes the Prometheus text / JSON exposition to `path`.
+  /// Scrapes and writes the Prometheus text exposition to `path`.
   /// Throws std::runtime_error when the file cannot be written.
   void write_prometheus_file(const std::string& path);
-  void write_json_file(const std::string& path);
 
   MetricsRegistry& registry() noexcept { return registry_; }
 

@@ -25,28 +25,18 @@ void HandoverPolicy::resolve_obs() {
   const std::uint64_t epoch = obs::global_epoch();
   if (epoch == obs_epoch_) return;
   obs_epoch_ = epoch;
-  obs::MetricsRegistry* reg = obs::global_registry();
-  if (reg == nullptr) {
-    obs_decisions_ = obs::Counter{};
-    obs_handovers_ = obs::Counter{};
-    obs_holds_ = obs::Counter{};
-    obs_overrides_ = obs::Counter{};
-    obs_penalty_holds_ = obs::Counter{};
-    obs_fallback_suppressed_ = obs::Counter{};
-    return;
-  }
-  obs_decisions_ = reg->counter("tl_policy_decisions_total",
+  obs_decisions_ = obs::counter("tl_policy_decisions_total",
                                 "Handover opportunities evaluated by the policy engine");
-  obs_handovers_ = reg->counter("tl_policy_handovers_total",
+  obs_handovers_ = obs::counter("tl_policy_handovers_total",
                                 "Policy decisions that commanded a handover");
-  obs_holds_ = reg->counter("tl_policy_holds_total",
+  obs_holds_ = obs::counter("tl_policy_holds_total",
                             "Policy decisions that held the UE on its serving sector");
-  obs_overrides_ = reg->counter(
+  obs_overrides_ = obs::counter(
       "tl_policy_overrides_total",
       "Decisions where the policy diverged from the calibrated default target");
-  obs_penalty_holds_ = reg->counter("tl_policy_penalty_holds_total",
+  obs_penalty_holds_ = obs::counter("tl_policy_penalty_holds_total",
                                     "Holds caused by a per-neighbor penalty timer");
-  obs_fallback_suppressed_ = reg->counter(
+  obs_fallback_suppressed_ = obs::counter(
       "tl_policy_fallback_suppressed_total",
       "Fallback (→3G/→2G) decisions kept on a 4G/5G neighbor instead");
 }

@@ -460,31 +460,19 @@ void WalTailer::resolve_obs() {
   const std::uint64_t epoch = obs::global_epoch();
   if (epoch == obs_epoch_) return;
   obs_epoch_ = epoch;
-  obs::MetricsRegistry* reg = obs::global_registry();
-  if (reg == nullptr) {
-    obs_polls_ = {};
-    obs_days_ = {};
-    obs_records_ = {};
-    obs_checkpoints_ = {};
-    obs_checkpoint_bytes_ = {};
-    obs_segments_retired_ = {};
-    obs_cursor_day_ = {};
-    obs_sketch_items_ = {};
-    return;
-  }
-  obs_polls_ = reg->counter("tl_serve_polls_total", "tail polls executed");
-  obs_days_ = reg->counter("tl_serve_days_total", "committed days ingested");
+  obs_polls_ = obs::counter("tl_serve_polls_total", "tail polls executed");
+  obs_days_ = obs::counter("tl_serve_days_total", "committed days ingested");
   obs_records_ =
-      reg->counter("tl_serve_records_total", "records ingested from the WAL");
+      obs::counter("tl_serve_records_total", "records ingested from the WAL");
   obs_checkpoints_ =
-      reg->counter("tl_serve_checkpoints_total", "durable checkpoints written");
-  obs_checkpoint_bytes_ = reg->counter("tl_serve_checkpoint_bytes_total",
+      obs::counter("tl_serve_checkpoints_total", "durable checkpoints written");
+  obs_checkpoint_bytes_ = obs::counter("tl_serve_checkpoint_bytes_total",
                                        "bytes written to checkpoint files");
-  obs_segments_retired_ = reg->counter("tl_serve_segments_retired_total",
+  obs_segments_retired_ = obs::counter("tl_serve_segments_retired_total",
                                        "WAL segments deleted by retention");
   obs_cursor_day_ =
-      reg->gauge("tl_serve_cursor_day", "last committed day consumed");
-  obs_sketch_items_ = reg->gauge("tl_serve_sketch_items",
+      obs::gauge("tl_serve_cursor_day", "last committed day consumed");
+  obs_sketch_items_ = obs::gauge("tl_serve_sketch_items",
                                  "retained sketch samples across the window");
 }
 

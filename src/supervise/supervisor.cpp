@@ -152,31 +152,20 @@ void StudySupervisor::resolve_obs() {
   const std::uint64_t epoch = obs::global_epoch();
   if (epoch == obs_epoch_) return;
   obs_epoch_ = epoch;
-  obs::MetricsRegistry* reg = obs::global_registry();
-  if (reg == nullptr) {
-    obs_attempts_ = obs::Counter{};
-    obs_retries_ = obs::Counter{};
-    obs_timeouts_ = obs::Counter{};
-    obs_probes_ = obs::Counter{};
-    obs_quarantined_ = obs::Counter{};
-    obs_quarantine_size_ = obs::Gauge{};
-    obs_day_seconds_ = obs::Histogram{};
-    return;
-  }
-  obs_attempts_ = reg->counter("tl_supervise_shard_attempts_total",
+  obs_attempts_ = obs::counter("tl_supervise_shard_attempts_total",
                                "Shard attempts, including first tries");
-  obs_retries_ = reg->counter("tl_supervise_retries_total",
+  obs_retries_ = obs::counter("tl_supervise_retries_total",
                               "Shard attempts beyond each shard's first");
-  obs_timeouts_ = reg->counter("tl_supervise_timeouts_total",
+  obs_timeouts_ = obs::counter("tl_supervise_timeouts_total",
                                "Shard attempts cancelled by the watchdog");
-  obs_probes_ = reg->counter("tl_supervise_bisection_probes_total",
+  obs_probes_ = obs::counter("tl_supervise_bisection_probes_total",
                              "Bisection probes run to isolate poison items");
-  obs_quarantined_ = reg->counter("tl_supervise_quarantined_total",
+  obs_quarantined_ = obs::counter("tl_supervise_quarantined_total",
                                   "Items condemned to quarantine");
-  obs_quarantine_size_ = reg->gauge("tl_supervise_quarantine_size",
+  obs_quarantine_size_ = obs::gauge("tl_supervise_quarantine_size",
                                     "Items in the cumulative quarantine set");
   obs_day_seconds_ =
-      reg->histogram("tl_supervise_day_seconds",
+      obs::histogram("tl_supervise_day_seconds",
                      obs::MetricsRegistry::latency_edges_s(),
                      "Wall time per supervised day");
 }

@@ -159,15 +159,14 @@ const char* CauseAggregator::bucket_label(std::size_t bucket) noexcept {
   return bucket < kBuckets ? kLabels[bucket] : "?";
 }
 
-CauseAggregator::CauseAggregator(int days, std::size_t n_manufacturers,
-                                 std::size_t duration_samples)
+CauseAggregator::CauseAggregator(int days, std::size_t n_manufacturers)
     : days_(days), n_manufacturers_(n_manufacturers) {
   per_day_bucket_.assign(static_cast<std::size_t>(days) * kBuckets, 0);
   per_day_total_.assign(static_cast<std::size_t>(days), 0);
   by_maker_area_.assign(n_manufacturers * 2 * kBuckets, 0);
   durations_.reserve(kBuckets);
   for (std::size_t b = 0; b < kBuckets; ++b) {
-    durations_.emplace_back(duration_samples, 0xd0b0 + b);
+    durations_.emplace_back(kDurationSamples, 0xd0b0 + b);
   }
 }
 
@@ -285,10 +284,10 @@ TypeMixAggregator::Share TypeMixAggregator::daily_share(
 
 // --- DurationAggregator ------------------------------------------------------
 
-DurationAggregator::DurationAggregator(std::size_t samples_per_class)
-    : reservoirs_{util::ReservoirSample{samples_per_class, 0xd1},
-                  util::ReservoirSample{samples_per_class, 0xd2},
-                  util::ReservoirSample{samples_per_class, 0xd3}} {}
+DurationAggregator::DurationAggregator()
+    : reservoirs_{util::ReservoirSample{kSamplesPerClass, 0xd1},
+                  util::ReservoirSample{kSamplesPerClass, 0xd2},
+                  util::ReservoirSample{kSamplesPerClass, 0xd3}} {}
 
 void DurationAggregator::consume(const HandoverRecord& record) {
   if (!record.success) return;

@@ -128,7 +128,10 @@ class DistrictAggregator : public RecordSink {
 /// per target RAT, and cross-tabulated by area / device type / manufacturer.
 class CauseAggregator : public RecordSink {
  public:
-  CauseAggregator(int days, std::size_t n_manufacturers, std::size_t duration_samples = 20'000);
+  CauseAggregator(int days, std::size_t n_manufacturers);
+
+  /// Reservoir capacity per bucket for the signaling times.
+  static constexpr std::size_t kDurationSamples = 20'000;
 
   void consume(const HandoverRecord& record) override;
 
@@ -184,7 +187,10 @@ class CauseAggregator : public RecordSink {
 /// Fig. 8: signaling-time reservoirs per target RAT class (successes only).
 class DurationAggregator : public RecordSink {
  public:
-  explicit DurationAggregator(std::size_t samples_per_class = 50'000);
+  DurationAggregator();
+
+  /// Reservoir capacity per target RAT class.
+  static constexpr std::size_t kSamplesPerClass = 50'000;
 
   void consume(const HandoverRecord& record) override;
 

@@ -27,6 +27,7 @@ class PingPongDetector : public RecordSink {
 
   std::uint64_t total_handovers() const noexcept { return hops_.hops(); }
   std::uint64_t ping_pongs() const noexcept { return hops_.ping_pongs(); }
+  std::uint64_t bouncing_ues() const noexcept { return hops_.bouncing_ues(); }
   double ping_pong_rate() const noexcept { return hops_.rate(); }
 
   /// Wasted signaling time (ms) spent on the returning leg of PP pairs.

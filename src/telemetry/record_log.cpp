@@ -125,32 +125,21 @@ void RecordLog::resolve_obs() {
   const std::uint64_t epoch = obs::global_epoch();
   if (epoch == obs_epoch_) return;
   obs_epoch_ = epoch;
-  obs::MetricsRegistry* reg = obs::global_registry();
-  if (reg == nullptr) {
-    obs_bytes_ = obs::Counter{};
-    obs_records_ = obs::Counter{};
-    obs_fsyncs_ = obs::Counter{};
-    obs_segments_ = obs::Counter{};
-    obs_dropped_bytes_ = obs::Counter{};
-    obs_dropped_records_ = obs::Counter{};
-    obs_commit_seconds_ = obs::Histogram{};
-    return;
-  }
-  obs_bytes_ = reg->counter("tl_wal_bytes_total",
+  obs_bytes_ = obs::counter("tl_wal_bytes_total",
                             "Bytes durably committed to the record log");
-  obs_records_ = reg->counter("tl_wal_records_total",
+  obs_records_ = obs::counter("tl_wal_records_total",
                               "Record frames durably committed");
-  obs_fsyncs_ = reg->counter("tl_wal_fsyncs_total", "fsync calls issued");
-  obs_segments_ = reg->counter("tl_wal_segments_total",
+  obs_fsyncs_ = obs::counter("tl_wal_fsyncs_total", "fsync calls issued");
+  obs_segments_ = obs::counter("tl_wal_segments_total",
                                "Segment files created (rolls + fresh opens)");
   obs_dropped_bytes_ =
-      reg->counter("tl_wal_recovery_dropped_bytes_total",
+      obs::counter("tl_wal_recovery_dropped_bytes_total",
                    "Uncommitted bytes truncated away during recovery");
   obs_dropped_records_ =
-      reg->counter("tl_wal_recovery_dropped_records_total",
+      obs::counter("tl_wal_recovery_dropped_records_total",
                    "Complete record frames dropped during recovery");
   obs_commit_seconds_ =
-      reg->histogram("tl_wal_commit_seconds",
+      obs::histogram("tl_wal_commit_seconds",
                      obs::MetricsRegistry::latency_edges_s(),
                      "Wall time per durable day commit (write + fsync)");
 }

@@ -42,6 +42,7 @@
 // All I/O goes through io::FileSystem so the chaos harness can inject
 // short writes, EIO, failed fsyncs, and hard crash points underneath.
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -54,6 +55,7 @@
 #include "io/file.hpp"
 #include "obs/metrics.hpp"
 #include "telemetry/sinks.hpp"
+#include "util/crc32c.hpp"
 
 namespace tl::telemetry {
 
@@ -477,6 +479,26 @@ class DurableRecordSink final : public RecordSink {
  private:
   RecordLog& log_;
   CheckpointProvider provider_;
+};
+
+/// RecordSink that fingerprints a stream: CRC32C over every record's
+/// encode_record payload, plus the record count. Two streams with equal
+/// checksums and counts carry the same records in the same order.
+class ChecksumSink final : public RecordSink {
+ public:
+  void consume(const HandoverRecord& record) override {
+    std::array<std::uint8_t, RecordLog::kRecordEncodedSize> payload{};
+    RecordLog::encode_record(record, payload.data());
+    crc_.update(payload.data(), payload.size());
+    ++records_;
+  }
+
+  std::uint32_t checksum() const noexcept { return crc_.value(); }
+  std::uint64_t records() const noexcept { return records_; }
+
+ private:
+  util::Crc32c crc_;
+  std::uint64_t records_ = 0;
 };
 
 }  // namespace tl::telemetry

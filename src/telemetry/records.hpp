@@ -54,33 +54,6 @@ struct HandoverRecord {
   int day() const noexcept { return util::SimCalendar::day_index(timestamp); }
 };
 
-/// Defect classes a malformed record can carry; the degradation-tolerant
-/// pipeline (ValidatingSink) quarantines instead of aborting on these.
-enum class RecordDefect : std::uint8_t {
-  kNone = 0,
-  kBadSectorId,       // invalid sentinel or out of deployment range
-  kSelfHandover,      // source == target
-  kBadDuration,       // negative, NaN or implausibly large duration
-  kBadTimestamp,      // negative timestamp
-  kTimeRegression,    // arrived for a day the pipeline already closed
-  kCauseMismatch,     // success with a cause, or failure without one
-};
-inline constexpr std::size_t kRecordDefectKinds = 7;
-
-const char* to_string(RecordDefect defect) noexcept;
-
-/// Bounds a record must respect to enter the pipeline. `sector_count == 0`
-/// disables the range check (sector universe unknown).
-struct ValidationLimits {
-  std::uint32_t sector_count = 0;
-  float max_duration_ms = 600'000.0f;  // 10 minutes: far beyond any real HO
-};
-
-/// First defect found in `record` (kNone if clean). `completed_day` is the
-/// last day the stream has closed via on_day_end, -1 before the first.
-RecordDefect inspect(const HandoverRecord& record, const ValidationLimits& limits,
-                     int completed_day) noexcept;
-
 /// Per-UE-day mobility/performance summary (§3.3 metrics + HOF exposure);
 /// feeds Figs. 10 and 13.
 struct UeDayMetrics {

@@ -199,36 +199,24 @@ void LogIntegrity::resolve_obs() {
   const std::uint64_t epoch = obs::global_epoch();
   if (epoch == obs_epoch_) return;
   obs_epoch_ = epoch;
-  obs::MetricsRegistry* reg = obs::global_registry();
-  if (reg == nullptr) {
-    obs_scrub_runs_ = {};
-    obs_scrub_segments_ = {};
-    obs_scrub_bytes_ = {};
-    obs_scrub_defects_ = {};
-    obs_repair_primary_ = {};
-    obs_repair_mirror_ = {};
-    obs_repair_quarantined_ = {};
-    obs_repair_records_lost_ = {};
-    return;
-  }
-  obs_scrub_runs_ = reg->counter("tl_scrub_runs_total", "Scrub passes executed");
-  obs_scrub_segments_ = reg->counter("tl_scrub_segments_total",
+  obs_scrub_runs_ = obs::counter("tl_scrub_runs_total", "Scrub passes executed");
+  obs_scrub_segments_ = obs::counter("tl_scrub_segments_total",
                                      "Segment files audited by scrub");
   obs_scrub_bytes_ =
-      reg->counter("tl_scrub_bytes_total", "Bytes CRC-verified by scrub");
-  obs_scrub_defects_ = reg->counter("tl_scrub_defects_total",
+      obs::counter("tl_scrub_bytes_total", "Bytes CRC-verified by scrub");
+  obs_scrub_defects_ = obs::counter("tl_scrub_defects_total",
                                     "Latent defects detected by scrub");
-  obs_repair_primary_ = reg->counter(
+  obs_repair_primary_ = obs::counter(
       "tl_repair_primary_restored_total",
       "Damaged primary segments restored from their mirror replica");
-  obs_repair_mirror_ = reg->counter(
+  obs_repair_mirror_ = obs::counter(
       "tl_repair_mirror_restored_total",
       "Missing/damaged mirror replicas restored from their primary");
   obs_repair_quarantined_ =
-      reg->counter("tl_repair_segments_quarantined_total",
+      obs::counter("tl_repair_segments_quarantined_total",
                    "Sealed segments certified lost (both copies damaged)");
   obs_repair_records_lost_ =
-      reg->counter("tl_repair_records_lost_total",
+      obs::counter("tl_repair_records_lost_total",
                    "Committed records inside quarantined day ranges");
 }
 

@@ -1,12 +1,5 @@
 #include "telemetry/signaling_dataset.hpp"
 
-#include <ostream>
-#include <stdexcept>
-#include <string>
-
-#include "util/csv.hpp"
-#include "util/hash.hpp"
-
 namespace tl::telemetry {
 
 std::vector<HandoverRecord> SignalingDataset::filter(
@@ -31,31 +24,6 @@ std::uint64_t SignalingDataset::failure_count() const noexcept {
   std::uint64_t n = 0;
   for (const auto& r : records_) n += r.success ? 0 : 1;
   return n;
-}
-
-void SignalingDataset::export_csv(std::ostream& os) const {
-  util::CsvWriter writer{os};
-  writer.write_row({"timestamp_ms", "result", "duration_ms", "cause", "anon_user",
-                    "source_sector", "target_sector", "source_rat", "target_rat",
-                    "device_type", "district", "area", "region", "vendor"});
-  for (const auto& r : records_) {
-    writer.write_row({std::to_string(r.timestamp), r.success ? "success" : "failure",
-                      std::to_string(r.duration_ms), std::to_string(r.cause),
-                      util::format_anon_id(r.anon_user_id),
-                      std::to_string(r.source_sector), std::to_string(r.target_sector),
-                      std::string{topology::to_string(r.source_rat)},
-                      std::string{topology::to_string(r.target_rat)},
-                      std::string{devices::to_string(r.device_type)},
-                      std::to_string(r.district), std::string{geo::to_string(r.area)},
-                      std::string{geo::to_string(r.region)},
-                      std::string{topology::to_string(r.vendor)}});
-  }
-  // Flush so buffered failures (ENOSPC on the final block) surface here,
-  // not as a silently truncated export.
-  os.flush();
-  if (!os) {
-    throw std::runtime_error{"SignalingDataset::export_csv: stream write failed"};
-  }
 }
 
 }  // namespace tl::telemetry

@@ -1,10 +1,9 @@
 #pragma once
 
 // Full-retention signaling dataset: stores every record (small scales,
-// tests, exports) and offers the filtered views the analyses start from.
+// tests) and offers the filtered views the analyses start from.
 
 #include <functional>
-#include <iosfwd>
 #include <span>
 #include <vector>
 
@@ -27,9 +26,6 @@ class SignalingDataset : public RecordSink {
 
   /// Success-only durations toward a target RAT class (Fig. 8 input).
   std::vector<double> success_durations_ms(topology::ObservedRat target) const;
-
-  /// CSV export with the paper's six variables plus the join columns.
-  void export_csv(std::ostream& os) const;
 
   std::uint64_t failure_count() const noexcept;
 

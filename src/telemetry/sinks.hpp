@@ -6,10 +6,7 @@
 // streams each record through registered sinks and lets aggregators reduce
 // online. Full retention (SignalingDataset) is itself just another sink.
 
-#include <array>
-#include <cstdint>
 #include <span>
-#include <vector>
 
 #include "telemetry/records.hpp"
 
@@ -40,50 +37,6 @@ class MetricsSink {
   virtual void consume_span(std::span<const UeDayMetrics> rows) {
     for (const auto& row : rows) consume(row);
   }
-};
-
-/// Degradation-tolerant decorator: validates every record against
-/// ValidationLimits and a day watermark, forwards clean ones to the wrapped
-/// sink and quarantines malformed ones with per-defect counters — the
-/// pipeline degrades (loses the bad records, keeps counting them) instead
-/// of aborting or corrupting downstream aggregates. A bounded sample of
-/// quarantined records is retained for post-mortem inspection.
-class ValidatingSink final : public RecordSink {
- public:
-  explicit ValidatingSink(RecordSink& inner, ValidationLimits limits = {},
-                          std::size_t quarantine_capacity = 64);
-
-  void consume(const HandoverRecord& record) override;
-  void on_day_end(int day) override;
-
-  std::uint64_t forwarded() const noexcept { return forwarded_; }
-  std::uint64_t quarantined() const noexcept { return quarantined_; }
-  std::uint64_t count(RecordDefect defect) const noexcept {
-    return counts_[static_cast<std::size_t>(defect)];
-  }
-  /// Retained sample of quarantined records (first `quarantine_capacity`).
-  std::span<const HandoverRecord> quarantine_sample() const noexcept {
-    return quarantine_;
-  }
-  /// Last day closed via on_day_end (-1 before the first).
-  int completed_day() const noexcept { return completed_day_; }
-  /// Resume support: fast-forwards the day watermark (e.g. to a recovered
-  /// checkpoint's last completed day) so a resumed stream keeps rejecting
-  /// records that regress into days closed before the crash. Never moves
-  /// the watermark backwards.
-  void restore_watermark(int completed_day) noexcept {
-    if (completed_day > completed_day_) completed_day_ = completed_day;
-  }
-
- private:
-  RecordSink& inner_;
-  ValidationLimits limits_;
-  std::size_t quarantine_capacity_;
-  int completed_day_ = -1;
-  std::uint64_t forwarded_ = 0;
-  std::uint64_t quarantined_ = 0;
-  std::array<std::uint64_t, kRecordDefectKinds> counts_{};
-  std::vector<HandoverRecord> quarantine_;
 };
 
 }  // namespace tl::telemetry

@@ -218,11 +218,9 @@ Deployment Deployment::build(const geo::Country& country, const DeploymentConfig
   }
 
   // --- Indexes and tallies. ----------------------------------------------------
-  dep.sectors_by_postcode_.resize(postcodes.size());
   for (const auto& sector : dep.sectors_) {
     dep.by_rat_[static_cast<std::size_t>(sector.rat)]++;
     if (sector.area_type == geo::AreaType::kUrban) ++dep.urban_sectors_;
-    dep.sectors_by_postcode_[sector.postcode].push_back(sector.id);
   }
   // Built once, before any worker can query it: the index is immutable.
   std::vector<tl::util::GeoPoint> locations;
@@ -231,10 +229,6 @@ Deployment Deployment::build(const geo::Country& country, const DeploymentConfig
   dep.site_index_ =
       geo::SpatialIndex{country.width_km(), country.height_km(), kSiteCellKm, locations};
   return dep;
-}
-
-std::span<const SectorId> Deployment::sectors_in_postcode(geo::PostcodeId pc) const {
-  return sectors_by_postcode_.at(pc);
 }
 
 double Deployment::urban_sector_fraction() const noexcept {

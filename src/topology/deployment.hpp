@@ -50,9 +50,6 @@ class Deployment {
   /// Spatial index over site locations.
   const geo::SpatialIndex& site_index() const noexcept { return site_index_; }
 
-  /// Live sectors whose site lies in the given postcode.
-  std::span<const SectorId> sectors_in_postcode(geo::PostcodeId pc) const;
-
   /// Sector counts per RAT among live sectors.
   std::array<std::uint64_t, 4> sector_count_by_rat() const noexcept { return by_rat_; }
   std::uint64_t live_sector_count() const noexcept { return sectors_.size(); }
@@ -83,7 +80,6 @@ class Deployment {
   /// 2G/3G sectors already decommissioned before the study; they only count
   /// toward the historical evolution curve.
   std::vector<RadioSector> retired_sectors_;
-  std::vector<std::vector<SectorId>> sectors_by_postcode_;
   geo::SpatialIndex site_index_;
   std::array<std::uint64_t, 4> by_rat_{};
   std::uint64_t urban_sectors_ = 0;

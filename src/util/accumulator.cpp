@@ -1,7 +1,6 @@
 #include "util/accumulator.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace tl::util {
@@ -24,8 +23,6 @@ void Accumulator::merge(const Accumulator& other) noexcept {
   min_ = std::min(min_, other.min_);
   max_ = std::max(max_, other.max_);
 }
-
-double Accumulator::stddev() const noexcept { return std::sqrt(variance()); }
 
 void ReservoirSample::add(double x) noexcept {
   ++seen_;

@@ -38,7 +38,6 @@ class Accumulator {
   double variance() const noexcept {
     return count_ > 1 ? m2_ / static_cast<double>(count_ - 1) : 0.0;
   }
-  double stddev() const noexcept;
   double min() const noexcept { return count_ ? min_ : 0.0; }
   double max() const noexcept { return count_ ? max_ : 0.0; }
 

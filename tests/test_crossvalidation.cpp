@@ -6,13 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <map>
-#include <sstream>
 
 #include "core/simulator.hpp"
 #include "telemetry/aggregates.hpp"
 #include "telemetry/signaling_dataset.hpp"
-#include "topology/snapshot.hpp"
-#include "util/csv.hpp"
 
 namespace tl {
 namespace {
@@ -104,36 +101,6 @@ TEST_P(CrossValidation, TypeMixTotalsMatchDataset) {
     }
   }
   EXPECT_EQ(sum, r.dataset.size());
-}
-
-TEST_P(CrossValidation, RecordCsvRoundTripsRowCount) {
-  auto& r = run();
-  std::ostringstream os;
-  r.dataset.export_csv(os);
-  std::istringstream is{os.str()};
-  const auto rows = util::read_csv(is);
-  ASSERT_EQ(rows.size(), r.dataset.size() + 1);  // + header
-  EXPECT_EQ(rows[0][0], "timestamp_ms");
-}
-
-TEST_P(CrossValidation, TopologyExportMatchesLiveSectors) {
-  auto& r = run();
-  std::ostringstream os;
-  const std::size_t rows = topology::export_topology_csv(
-      r.sim->deployment(), r.sim->country(), os, 2024);
-  EXPECT_EQ(rows, r.sim->deployment().sectors().size());
-  // Earlier years export strictly fewer sectors.
-  std::ostringstream past;
-  const std::size_t rows_2012 = topology::export_topology_csv(
-      r.sim->deployment(), r.sim->country(), past, 2012);
-  EXPECT_LT(rows_2012, rows);
-}
-
-TEST_P(CrossValidation, CensusExportCoversEveryPostcode) {
-  auto& r = run();
-  std::ostringstream os;
-  EXPECT_EQ(topology::export_census_csv(r.sim->country(), os),
-            r.sim->country().postcodes().size());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CrossValidation, ::testing::Values(42u, 1337u, 777u));

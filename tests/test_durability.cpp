@@ -437,15 +437,6 @@ TEST(RecordLogTest, ReplayDeliversDayBoundaries) {
   ASSERT_EQ(sink.day_ends.size(), 2u);
   EXPECT_EQ(sink.day_ends[0], 0);
   EXPECT_EQ(sink.day_ends[1], 1);
-
-  // Replaying through a ValidatingSink (an existing analysis entry point):
-  // recovered records are clean and day watermarks advance.
-  telemetry::SignalingDataset dataset;
-  telemetry::ValidatingSink validating{dataset};
-  EXPECT_EQ(RecordLog::replay(real, tmp.path, validating), 10u);
-  EXPECT_EQ(validating.forwarded(), 10u);
-  EXPECT_EQ(validating.quarantined(), 0u);
-  EXPECT_EQ(validating.completed_day(), 1);
 }
 
 TEST(RecordLogTest, MisuseThrows) {
@@ -1139,110 +1130,6 @@ TEST(WriteFileAtomic, ReplacesAnExistingFileAndLeavesNoTemp) {
   EXPECT_EQ(io::read_file(real, path), second);
   EXPECT_EQ(slurp(path), second);
   EXPECT_FALSE(fs::exists(path + ".tmp"));
-}
-
-// --- validating sink ---------------------------------------------------------
-
-TEST(ValidatingSinkTest, CountsEveryDefectClass) {
-  telemetry::SignalingDataset inner;
-  telemetry::ValidationLimits limits;
-  limits.sector_count = 100;
-  telemetry::ValidatingSink sink{inner, limits};
-
-  sink.consume(make_record(0, 0));  // clean
-  HandoverRecord r = make_record(0, 1);
-  r.source_sector = topology::kInvalidSector;
-  sink.consume(r);  // kBadSectorId (sentinel)
-  r = make_record(0, 2);
-  r.target_sector = 100;  // == sector_count -> out of range
-  sink.consume(r);        // kBadSectorId (range)
-  r = make_record(0, 3);
-  r.target_sector = r.source_sector;
-  sink.consume(r);  // kSelfHandover
-  r = make_record(0, 4);
-  r.duration_ms = -1.0f;
-  sink.consume(r);  // kBadDuration
-  r = make_record(0, 5);
-  r.duration_ms = limits.max_duration_ms * 2;
-  sink.consume(r);  // kBadDuration
-  r = make_record(0, 6);
-  r.timestamp = -5;
-  sink.consume(r);  // kBadTimestamp
-  r = make_record(0, 7);
-  r.success = true;
-  r.cause = 3;
-  sink.consume(r);  // kCauseMismatch
-  r = make_record(0, 8);
-  r.success = false;
-  r.cause = corenet::kCauseNone;
-  sink.consume(r);  // kCauseMismatch
-
-  sink.on_day_end(0);
-  sink.consume(make_record(0, 9));  // kTimeRegression: day 0 already closed
-  sink.consume(make_record(1, 0));  // clean, next day
-
-  EXPECT_EQ(sink.forwarded(), 2u);
-  EXPECT_EQ(sink.quarantined(), 9u);
-  EXPECT_EQ(sink.count(telemetry::RecordDefect::kBadSectorId), 2u);
-  EXPECT_EQ(sink.count(telemetry::RecordDefect::kSelfHandover), 1u);
-  EXPECT_EQ(sink.count(telemetry::RecordDefect::kBadDuration), 2u);
-  EXPECT_EQ(sink.count(telemetry::RecordDefect::kBadTimestamp), 1u);
-  EXPECT_EQ(sink.count(telemetry::RecordDefect::kTimeRegression), 1u);
-  EXPECT_EQ(sink.count(telemetry::RecordDefect::kCauseMismatch), 2u);
-  EXPECT_EQ(sink.quarantine_sample().size(), 9u);
-  EXPECT_EQ(inner.size(), 2u);
-}
-
-TEST(ValidatingSinkTest, WatermarkSurvivesResume) {
-  // First process: closes day 1, then dies.
-  telemetry::SignalingDataset inner1;
-  telemetry::ValidatingSink before{inner1};
-  before.consume(make_record(0, 0));
-  before.on_day_end(0);
-  before.consume(make_record(1, 0));
-  before.on_day_end(1);
-  EXPECT_EQ(before.completed_day(), 1);
-
-  // Resumed process restores the watermark from the recovered checkpoint:
-  // records regressing into closed days stay quarantined across the crash.
-  telemetry::SignalingDataset inner2;
-  telemetry::ValidatingSink after{inner2};
-  after.restore_watermark(before.completed_day());
-  EXPECT_EQ(after.completed_day(), 1);
-  after.consume(make_record(0, 1));  // regressed into closed day 0
-  after.consume(make_record(1, 1));  // regressed into closed day 1
-  after.consume(make_record(2, 0));  // current day: clean
-  EXPECT_EQ(after.count(telemetry::RecordDefect::kTimeRegression), 2u);
-  EXPECT_EQ(after.forwarded(), 1u);
-
-  // The watermark never moves backwards.
-  after.restore_watermark(0);
-  EXPECT_EQ(after.completed_day(), 1);
-  after.restore_watermark(-1);
-  EXPECT_EQ(after.completed_day(), 1);
-}
-
-TEST(ValidatingSinkTest, StacksOnTopOfDurableSink) {
-  TempDir tmp{"stacked"};
-  auto& real = io::StdioFileSystem::instance();
-  RecordLog log{real, small_log(tmp.path)};
-  log.open();
-  DurableRecordSink durable{log};
-  telemetry::ValidatingSink validating{durable};
-
-  validating.consume(make_record(0, 0));
-  HandoverRecord bad = make_record(0, 1);
-  bad.target_sector = bad.source_sector;
-  validating.consume(bad);  // quarantined: must never reach the log
-  validating.consume(make_record(0, 2));
-  validating.on_day_end(0);  // forwarded -> durable commit
-
-  EXPECT_EQ(validating.quarantined(), 1u);
-  EXPECT_EQ(log.last_committed_day(), 0);
-  const auto recovered = RecordLog::read_all(real, tmp.path);
-  ASSERT_EQ(recovered.size(), 2u);
-  EXPECT_NE(recovered[0].source_sector, recovered[0].target_sector);
-  EXPECT_NE(recovered[1].source_sector, recovered[1].target_sector);
 }
 
 // --- simulator + durable log -------------------------------------------------

@@ -20,7 +20,6 @@ using core::DayCheckpoint;
 using core::Simulator;
 using core::StudyConfig;
 using telemetry::HandoverRecord;
-using topology::kInvalidSector;
 
 StudyConfig small_config() {
   StudyConfig cfg = StudyConfig::test_scale();
@@ -65,14 +64,19 @@ TEST(FaultSchedule, EventWindowsAndScopes) {
                                    3.0, 0.2));
   EXPECT_FALSE(schedule.empty());
   EXPECT_EQ(schedule.size(), 4u);
-  EXPECT_EQ(schedule.outages().size(), 1u);
-  EXPECT_EQ(schedule.modifiers().size(), 3u);
 
-  // Outage matches only its sector, only inside the window.
-  EXPECT_TRUE(schedule.sector_out(7, 0, at_hour(0, 12.0)));
-  EXPECT_FALSE(schedule.sector_out(7, 0, at_hour(0, 9.9)));
-  EXPECT_FALSE(schedule.sector_out(7, 0, at_hour(0, 14.0)));  // end exclusive
-  EXPECT_FALSE(schedule.sector_out(8, 0, at_hour(0, 12.0)));
+  // Outage matches only its sector, only inside the window, and modifies
+  // nothing.
+  topology::RadioSector sector;
+  sector.id = 7;
+  EXPECT_TRUE(schedule.forced_off(sector, 0, 24));    // [12:00, 12:30)
+  EXPECT_FALSE(schedule.forced_off(sector, 0, 19));   // [9:30, 10:00)
+  EXPECT_FALSE(schedule.forced_off(sector, 0, 28));   // [14:00, 14:30): end exclusive
+  EXPECT_DOUBLE_EQ(
+      schedule.hof_multiplier(7, topology::Vendor::kV1, geo::Region::kNorth, at_hour(0, 12.0)),
+      1.0);
+  sector.id = 8;
+  EXPECT_FALSE(schedule.forced_off(sector, 0, 24));
 
   // Bug wave multiplies only the matching vendor inside the window.
   EXPECT_DOUBLE_EQ(
@@ -324,88 +328,6 @@ TEST(Recovery, EmitsDeterministicReattemptRecords) {
   StudyConfig stock = small_config();
   stock.days = 1;
   for (const auto& r : run_records(stock)) EXPECT_EQ(r.attempt, 0);
-}
-
-// --- degradation-tolerant telemetry ------------------------------------------
-
-TEST(ValidatingSink, QuarantinesMalformedRecordsWithCounters) {
-  telemetry::SignalingDataset inner;
-  telemetry::ValidationLimits limits;
-  limits.sector_count = 100;
-  telemetry::ValidatingSink sink{inner, limits, 8};
-
-  telemetry::HandoverRecord clean;
-  clean.timestamp = 1'000;
-  clean.source_sector = 1;
-  clean.target_sector = 2;
-  clean.success = true;
-  clean.cause = corenet::kCauseNone;
-  clean.duration_ms = 40.0f;
-  sink.consume(clean);
-
-  auto bad = clean;
-  bad.target_sector = kInvalidSector;
-  sink.consume(bad);
-  bad = clean;
-  bad.source_sector = 100;  // == sector_count: out of range
-  sink.consume(bad);
-  bad = clean;
-  bad.target_sector = clean.source_sector;
-  sink.consume(bad);
-  bad = clean;
-  bad.duration_ms = -1.0f;
-  sink.consume(bad);
-  bad = clean;
-  bad.timestamp = -5;
-  sink.consume(bad);
-  bad = clean;
-  bad.success = false;  // failure without a cause
-  sink.consume(bad);
-  bad = clean;
-  bad.cause = corenet::kCause8RelocationTimeout;  // success with a cause
-  sink.consume(bad);
-
-  // Close day 0, then feed a day-0 straggler: time regression.
-  sink.on_day_end(0);
-  sink.consume(clean);
-
-  using telemetry::RecordDefect;
-  EXPECT_EQ(sink.forwarded(), 1u);
-  EXPECT_EQ(sink.quarantined(), 8u);
-  EXPECT_EQ(inner.size(), 1u);
-  EXPECT_EQ(sink.count(RecordDefect::kBadSectorId), 2u);
-  EXPECT_EQ(sink.count(RecordDefect::kSelfHandover), 1u);
-  EXPECT_EQ(sink.count(RecordDefect::kBadDuration), 1u);
-  EXPECT_EQ(sink.count(RecordDefect::kBadTimestamp), 1u);
-  EXPECT_EQ(sink.count(RecordDefect::kCauseMismatch), 2u);
-  EXPECT_EQ(sink.count(RecordDefect::kTimeRegression), 1u);
-  EXPECT_EQ(sink.quarantine_sample().size(), 8u);
-  EXPECT_EQ(sink.completed_day(), 0);
-
-  // A day-1 record passes after the watermark moved.
-  auto later = clean;
-  later.timestamp = util::kMsPerDay + 1'000;
-  sink.consume(later);
-  EXPECT_EQ(sink.forwarded(), 2u);
-}
-
-TEST(ValidatingSink, IsTransparentForTheOrganicStream) {
-  StudyConfig cfg = small_config();
-  cfg.days = 1;
-  const auto baseline = run_records(cfg);
-
-  Simulator sim{cfg};
-  telemetry::SignalingDataset inner;
-  telemetry::ValidationLimits limits;
-  limits.sector_count =
-      static_cast<std::uint32_t>(sim.deployment().sectors().size());
-  telemetry::ValidatingSink sink{inner, limits};
-  sim.add_sink(&sink);
-  sim.run();
-
-  EXPECT_EQ(sink.quarantined(), 0u);
-  EXPECT_EQ(sink.forwarded(), baseline.size());
-  expect_identical(baseline, {inner.records().begin(), inner.records().end()});
 }
 
 // --- checkpoint / resume -----------------------------------------------------

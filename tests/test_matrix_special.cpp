@@ -132,14 +132,5 @@ TEST(SpecialFunctions, RegularizedGammaBounds) {
   EXPECT_THROW(regularized_gamma_p(0.0, 1.0), std::invalid_argument);
 }
 
-TEST(SpecialFunctions, StudentizedRangeKnownValues) {
-  // q_{0.95}(k=3, df=inf) = 3.314 (tabulated).
-  EXPECT_NEAR(studentized_range_cdf_inf_df(3.314, 3), 0.95, 0.003);
-  // q_{0.95}(k=2, df=inf) = 2.772 = sqrt(2) * 1.96.
-  EXPECT_NEAR(studentized_range_cdf_inf_df(2.772, 2), 0.95, 0.003);
-  EXPECT_EQ(studentized_range_cdf_inf_df(0.0, 4), 0.0);
-  EXPECT_THROW(studentized_range_cdf_inf_df(1.0, 1), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace tl::analysis

@@ -249,27 +249,12 @@ TEST(Exposition, PrometheusTextFormat) {
   EXPECT_NE(text.find("lat_s_sum 10.5\n"), std::string::npos);
 }
 
-TEST(Exposition, JsonFormat) {
-  obs::MetricsRegistry reg;
-  reg.counter("c_total").inc(3);
-  reg.gauge("g").set(1.25);
-  reg.histogram("h_s", {0.0, 1.0}).observe(0.5);
-
-  const std::string json = obs::to_json(reg.scrape());
-  EXPECT_NE(json.find("\"c_total\": 3"), std::string::npos);
-  EXPECT_NE(json.find("\"g\": 1.25"), std::string::npos);
-  EXPECT_NE(json.find("\"edges\": [0, 1]"), std::string::npos);
-  EXPECT_NE(json.find("\"counts\": [1]"), std::string::npos);
-  EXPECT_NE(json.find("\"nan\": 0"), std::string::npos);
-}
-
 TEST(Exposition, OutputIsDeterministicAcrossScrapes) {
   obs::MetricsRegistry reg;
   reg.counter("b").inc(1);
   reg.counter("a").inc(2);
   reg.gauge("z").set(4.0);
   EXPECT_EQ(obs::to_prometheus(reg.scrape()), obs::to_prometheus(reg.scrape()));
-  EXPECT_EQ(obs::to_json(reg.scrape()), obs::to_json(reg.scrape()));
 }
 
 // --- StudyMonitor ------------------------------------------------------------
@@ -309,16 +294,11 @@ TEST(StudyMonitor, WritesExpositionFiles) {
   const std::string dir = ::testing::TempDir() + "tl_obs_monitor";
   fs::create_directories(dir);
   monitor.write_prometheus_file(dir + "/metrics.prom");
-  monitor.write_json_file(dir + "/metrics.json");
 
   std::ifstream prom{dir + "/metrics.prom"};
   std::stringstream prom_body;
   prom_body << prom.rdbuf();
   EXPECT_NE(prom_body.str().find("tl_sim_records_total 42"), std::string::npos);
-  std::ifstream json{dir + "/metrics.json"};
-  std::stringstream json_body;
-  json_body << json.rdbuf();
-  EXPECT_NE(json_body.str().find("\"tl_sim_records_total\": 42"), std::string::npos);
   fs::remove_all(dir);
 
   EXPECT_THROW(monitor.write_prometheus_file("/nonexistent-dir/x/metrics.prom"),

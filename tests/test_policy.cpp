@@ -32,6 +32,7 @@ namespace {
 using core::DayCheckpoint;
 using core::Simulator;
 using core::StudyConfig;
+using telemetry::ChecksumSink;
 using telemetry::DurableRecordSink;
 using telemetry::RecordLog;
 
@@ -52,24 +53,6 @@ namespace fs = std::filesystem;
 constexpr std::uint64_t kGoldenRecords = 180'878;
 constexpr std::uint32_t kGoldenStreamCrc = 0x81409458;
 constexpr std::uint32_t kGoldenWalCrc = 0xfb4925fe;
-
-/// CRC32C over the wire encoding of every record the simulator emits.
-class ChecksumSink final : public telemetry::RecordSink {
- public:
-  void consume(const telemetry::HandoverRecord& record) override {
-    buffer_.clear();
-    RecordLog::encode_record(record, buffer_);
-    crc_.update(buffer_.data(), buffer_.size());
-    ++records_;
-  }
-  std::uint32_t checksum() const noexcept { return crc_.value(); }
-  std::uint64_t records() const noexcept { return records_; }
-
- private:
-  util::Crc32c crc_;
-  std::uint64_t records_ = 0;
-  std::vector<std::uint8_t> buffer_;
-};
 
 struct TempDir {
   explicit TempDir(const std::string& name)

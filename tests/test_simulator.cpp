@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 
 #include "analysis/summary.hpp"
@@ -28,7 +29,11 @@ TEST(Simulator, AllRecordsHave4g5gSource) {
 
 TEST(Simulator, RecordFieldsAreConsistentJoins) {
   const auto& w = TestWorld::instance();
+  const auto n_sectors = w.sim->deployment().sectors().size();
+  int last_day = 0;
   for (const auto& r : w.dataset.records()) {
+    ASSERT_LT(r.source_sector, n_sectors);
+    ASSERT_LT(r.target_sector, n_sectors);
     const auto& sector = w.sim->deployment().sector(r.source_sector);
     EXPECT_EQ(r.vendor, sector.vendor);
     EXPECT_EQ(r.district, sector.district);
@@ -36,8 +41,13 @@ TEST(Simulator, RecordFieldsAreConsistentJoins) {
     EXPECT_EQ(r.region, sector.region);
     EXPECT_NE(r.source_sector, r.target_sector);
     EXPECT_GE(r.timestamp, 0);
+    EXPECT_GE(r.day(), last_day) << "records arrive in day order";
     EXPECT_LT(r.day(), w.config.days);
+    last_day = r.day();
+    EXPECT_TRUE(std::isfinite(r.duration_ms));
     EXPECT_GE(r.duration_ms, 0.0f);
+    EXPECT_LE(r.duration_ms, 600'000.0f);
+    EXPECT_EQ(r.success, r.cause == corenet::kCauseNone) << "a cause exactly on failures";
   }
 }
 

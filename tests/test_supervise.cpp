@@ -872,7 +872,7 @@ TEST(SupervisedSimulator, BooksSuccessfulAttemptsAndMergesAsExecStages) {
   // geometry is the study's: a runner at the same threads and UE floor.
   exec::ShardedDayRunner::Options geometry;
   geometry.threads = 2;
-  geometry.min_items_per_shard = SupWorld::instance().cfg.min_ues_per_shard;
+  geometry.min_items_per_shard = Simulator::kMinUesPerShard;
   const std::uint64_t shard_days =
       exec::ShardedDayRunner{geometry}.shard_count(
           SupWorld::instance().sim->population().size()) *

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 
 #include "telemetry/aggregates.hpp"
 #include "telemetry/signaling_dataset.hpp"
@@ -42,18 +41,6 @@ TEST(SignalingDataset, StoresFiltersAndCounts) {
   const auto durations = ds.success_durations_ms(topology::ObservedRat::kG45Nsa);
   ASSERT_EQ(durations.size(), 1u);
   EXPECT_FLOAT_EQ(static_cast<float>(durations[0]), 43.0f);
-}
-
-TEST(SignalingDataset, CsvExportHasHeaderAndRows) {
-  SignalingDataset ds;
-  ds.consume(make_record(1, 12.0, 5, topology::ObservedRat::kG3, false,
-                         corenet::kCause1SourceCancelled));
-  std::ostringstream out;
-  ds.export_csv(out);
-  const std::string csv = out.str();
-  EXPECT_NE(csv.find("timestamp_ms"), std::string::npos);
-  EXPECT_NE(csv.find("failure"), std::string::npos);
-  EXPECT_NE(csv.find("3G"), std::string::npos);
 }
 
 TEST(TemporalAggregator, BinsByTimeAndArea) {

@@ -72,18 +72,6 @@ TEST(Deployment, SectorsInheritSiteAttributes) {
   }
 }
 
-TEST(Deployment, SectorsInPostcodeIndexIsConsistent) {
-  const auto& dep = world().deployment;
-  std::size_t indexed = 0;
-  for (const auto& pc : world().country.postcodes()) {
-    for (const SectorId sid : dep.sectors_in_postcode(pc.id)) {
-      EXPECT_EQ(dep.sector(sid).postcode, pc.id);
-      ++indexed;
-    }
-  }
-  EXPECT_EQ(indexed, dep.sectors().size());
-}
-
 TEST(Deployment, VendorMixFollowsRegions) {
   const auto& dep = world().deployment;
   std::map<geo::Region, std::map<Vendor, int>> counts;

@@ -6,7 +6,6 @@
 
 #include "util/accumulator.hpp"
 #include "util/cli.hpp"
-#include "util/csv.hpp"
 #include "util/hash.hpp"
 #include "util/sim_time.hpp"
 #include "util/table.hpp"
@@ -56,25 +55,6 @@ TEST(Hash, Fnv1aMatchesReference) {
 
 TEST(Hash, FormatAnonId) {
   EXPECT_EQ(format_anon_id(0xabcULL), "anon:0000000000000abc");
-}
-
-TEST(Csv, RoundTripsQuotedFields) {
-  std::ostringstream out;
-  CsvWriter writer{out};
-  writer.write_row({"plain", "with,comma", "with\"quote", "multi\nline"});
-  std::istringstream in{out.str()};
-  // The exporter never emits embedded newlines; parse the first line parts.
-  const auto rows = read_csv(in);
-  ASSERT_GE(rows.size(), 1u);
-  EXPECT_EQ(rows[0][0], "plain");
-  EXPECT_EQ(rows[0][1], "with,comma");
-  EXPECT_EQ(rows[0][2], "with\"quote");
-}
-
-TEST(Csv, ParsesEscapedQuotes) {
-  const auto cells = parse_csv_line(R"(a,"b""c",d)");
-  ASSERT_EQ(cells.size(), 3u);
-  EXPECT_EQ(cells[1], "b\"c");
 }
 
 TEST(Accumulator, MatchesExactStatistics) {
