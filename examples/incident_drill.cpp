@@ -10,6 +10,11 @@
 // task-fault storm on top of the RAN incident: shard attempts randomly
 // throw, hit transient EIOs, or stall, and the supervisor's retries keep
 // the drill's telemetry identical while it reports what the storm cost.
+//
+// The drill checks its own claims and exits 1, naming each failed check,
+// unless all three hold: the before-window national HO and HOF counts equal
+// the baseline's, no HO targets the victim during the window, and the
+// drill's during-window national HOF rate exceeds the baseline's.
 
 #include <cstdlib>
 #include <cstring>
@@ -167,5 +172,27 @@ int main(int argc, char** argv) {
   std::cout << "\nThe during-window column should read zero for the victim and the\n"
                "national drill HOF should spike inside the window only — injected\n"
                "incidents flow through the same records as organic failures.\n";
-  return 0;
+
+  const auto& base_before = before.national(Phase::kBefore);
+  const auto& drill_before = during.national(Phase::kBefore);
+  const struct {
+    const char* name;
+    bool ok;
+  } checks[] = {
+      {"before-window national HOs and HOFs equal the baseline's",
+       drill_before.handovers == base_before.handovers &&
+           drill_before.failures == base_before.failures},
+      {"no HO targets the victim during the window",
+       during.targeting(victim, Phase::kDuring) == 0},
+      {"during-window national HOF rate exceeds the baseline's",
+       during.national(Phase::kDuring).hof_rate() >
+           before.national(Phase::kDuring).hof_rate()},
+  };
+  int failed = 0;
+  for (const auto& check : checks) {
+    if (check.ok) continue;
+    std::cerr << "incident_drill: check failed: " << check.name << "\n";
+    ++failed;
+  }
+  return failed > 0 ? 1 : 0;
 }

@@ -46,11 +46,9 @@ Simulator::Simulator(StudyConfig config)
   locator_ = std::make_unique<ran::SectorLocator>(*deployment_, *selector_, energy_);
   policy_ = policy::make_policy(config_.policy);
   policy_env_.deployment = deployment_.get();
-  policy_env_.coverage = coverage_.get();
   policy_env_.selector = selector_.get();
   policy_env_.locator = locator_.get();
   policy_env_.load = &load_model_;
-  policy_env_.seed = config_.seed;
   policy_env_.suppress_ping_pong = config_.suppress_ping_pong;
   policy_env_.ping_pong_window_ms = config_.ping_pong_window_ms;
 
@@ -146,7 +144,6 @@ void Simulator::set_quarantined_ues(std::vector<devices::UeId> ues) {
 }
 
 void Simulator::set_fault_schedule(const faults::FaultSchedule* schedule) {
-  faults_ = schedule;
   energy_.set_availability_override(schedule);
   failure_model_.set_fault_schedule(schedule);
   locator_->set_fault_schedule(schedule);
@@ -553,13 +550,6 @@ void Simulator::simulate_ue_day(const devices::Ue& ue, const mobility::UePlan& p
     const topology::SectorId target = decision.target;
 
     const auto& target_sector = deployment_->sector(target);
-    double overload = ran::LoadModel::overload_rejection_probability(
-        load_model_.utilization(target_sector, day, bin));
-    if (faults_ != nullptr && !faults_->empty()) {
-      // Signaling/core-overload storms reach the attempt through the same
-      // overload channel organic congestion uses, so Cause #4 rises with it.
-      overload = std::min(1.0, overload + faults_->overload_boost(source.region, event.time));
-    }
 
     corenet::HoAttempt attempt;
     attempt.ue = &ue;
@@ -570,7 +560,8 @@ void Simulator::simulate_ue_day(const devices::Ue& ue, const mobility::UePlan& p
     attempt.area = source.area_type;
     attempt.region = source.region;
     attempt.time = event.time;
-    attempt.target_overload = overload;
+    attempt.target_overload = ran::LoadModel::overload_rejection_probability(
+        load_model_.utilization(target_sector, day, bin));
     attempt.srvcc = decision.srvcc;
     // EN-DC applies when the UE rides an NR secondary on either end of the
     // HO (the EPC still logs plain 4G/5G-NSA).
@@ -639,7 +630,7 @@ void Simulator::simulate_ue_day(const devices::Ue& ue, const mobility::UePlan& p
       }
     }
 
-    // Policy feedback once the attempt chain settles (penalty timers, ...).
+    // Policy feedback once the attempt chain settles.
     policy_->on_outcome(policy_env_, opp, decision, outcome.success, pstate);
 
     if (outcome.success) {

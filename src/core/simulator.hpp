@@ -101,11 +101,10 @@ class Simulator {
 
   /// Installs (or clears, with nullptr) a borrowed fault-injection
   /// schedule: outages veto sectors in locate_sector (via the energy
-  /// policy's availability override) and modifier events inflate failure
-  /// probabilities / target overload on matching HO attempts. An empty or
-  /// absent schedule leaves output byte-identical.
+  /// policy's availability override) and vendor bug waves inflate the
+  /// failure probability of matching HO attempts. An empty or absent
+  /// schedule leaves output byte-identical.
   void set_fault_schedule(const faults::FaultSchedule* schedule);
-  const faults::FaultSchedule* fault_schedule() const noexcept { return faults_; }
 
   /// Runs the remaining configured days (all of them on a fresh instance).
   /// With a durable log attached, first resumes from its last committed day
@@ -258,8 +257,8 @@ class Simulator {
   std::unique_ptr<ran::TargetSelector> selector_;
   std::unique_ptr<ran::SectorLocator> locator_;
   std::unique_ptr<policy::HandoverPolicy> policy_;
-  /// Const world view the policy sees; rebuilt only when the fault schedule
-  /// changes (the referenced components are stable after construction).
+  /// Const world view the policy sees, set once at construction (the
+  /// referenced components are stable after it).
   policy::PolicyEnv policy_env_;
   ran::LoadModel load_model_;
   topology::EnergySavingPolicy energy_;
@@ -269,7 +268,6 @@ class Simulator {
   corenet::HandoverProcedure procedure_;
   corenet::CoreNetwork core_;
   faults::RecoveryModel recovery_;
-  const faults::FaultSchedule* faults_ = nullptr;
 
   /// Cached per-UE plans (stable across days).
   std::vector<mobility::UePlan> plans_;

@@ -49,8 +49,7 @@ double FailureModel::failure_probability(const FailureContext& context) const no
   p *= 1.0 + 2.5 * std::clamp(context.overload, 0.0, 1.0);
   p *= std::max(context.ue_hof_multiplier, 0.0);
   if (faults_ != nullptr && !faults_->empty()) {
-    p *= faults_->hof_multiplier(context.source_sector, context.vendor, context.region,
-                                 context.time);
+    p *= faults_->hof_multiplier(context.vendor, context.time);
   }
   return std::clamp(p, 0.0, 0.92);
 }

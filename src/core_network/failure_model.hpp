@@ -69,14 +69,13 @@ class FailureModel {
 
   static double region_multiplier(geo::Region region) noexcept;
 
-  /// Installs (or clears) a fault-injection schedule; borrowed. Active
-  /// incidents whose scope matches an attempt (source sector, vendor,
-  /// region) multiply its failure probability, so injected faults produce
-  /// records, causes and durations exactly like organic failures.
+  /// Installs (or clears) a fault-injection schedule; borrowed. Active bug
+  /// waves on an attempt's source vendor multiply its failure probability,
+  /// so injected faults produce records, causes and durations exactly like
+  /// organic failures.
   void set_fault_schedule(const faults::FaultSchedule* schedule) noexcept {
     faults_ = schedule;
   }
-  const faults::FaultSchedule* fault_schedule() const noexcept { return faults_; }
 
   const FailureModelConfig& config() const noexcept { return config_; }
 

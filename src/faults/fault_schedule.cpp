@@ -31,43 +31,13 @@ bool FaultSchedule::forced_off(const topology::RadioSector& sector, int day,
   return false;
 }
 
-double FaultSchedule::hof_multiplier(topology::SectorId source_sector,
-                                     topology::Vendor vendor, geo::Region region,
+double FaultSchedule::hof_multiplier(topology::Vendor vendor,
                                      util::TimestampMs t) const noexcept {
   double multiplier = 1.0;
   for (const auto& e : modifiers_) {
-    if (!e.active_at(t)) continue;
-    switch (e.kind) {
-      case FaultKind::kSectorDegraded:
-        if (e.sector == source_sector) multiplier *= e.hof_multiplier;
-        break;
-      case FaultKind::kCoreOverloadStorm:
-        if (e.region == region) multiplier *= e.hof_multiplier;
-        break;
-      case FaultKind::kVendorBugWave:
-        if (e.vendor == vendor) multiplier *= e.hof_multiplier;
-        break;
-      case FaultKind::kSignalingStorm:
-        // Storms act through the overload boost only.
-        break;
-      default:
-        break;
-    }
+    if (e.active_at(t) && e.vendor == vendor) multiplier *= e.hof_multiplier;
   }
   return multiplier;
-}
-
-double FaultSchedule::overload_boost(geo::Region region,
-                                     util::TimestampMs t) const noexcept {
-  double boost = 0.0;
-  for (const auto& e : modifiers_) {
-    if (!e.active_at(t)) continue;
-    if ((e.kind == FaultKind::kSignalingStorm || e.kind == FaultKind::kCoreOverloadStorm) &&
-        e.region == region) {
-      boost += e.overload_boost;
-    }
-  }
-  return boost;
 }
 
 }  // namespace tl::faults

@@ -4,13 +4,11 @@
 //
 // The paper's §6 is about *failure*: HOF causes cluster in sector-day
 // incidents (Table 6 / Fig. 16) rather than spreading evenly. This module
-// lets a study script those incidents — sector outages and degradations,
-// core-entity overload storms, vendor software-bug waves, paging/signaling
-// storms — as explicit time-windowed events. The simulator
-// hot path consults the active schedule (FailureModel for HOF inflation,
-// EnergySavingPolicy/locate_sector for sector availability, the load path
-// for overload boosts), so injected faults flow into records, causes and
-// durations exactly like organic ones.
+// lets a study script incidents — sector outages and vendor software-bug
+// waves — as explicit time-windowed events. The simulator hot path consults
+// the active schedule (FailureModel for HOF inflation,
+// EnergySavingPolicy/SectorLocator for sector availability), so injected
+// faults flow into records, causes and durations exactly like organic ones.
 //
 // An empty schedule is free: every query short-circuits on empty(), so runs
 // without faults are byte-identical to a build without this subsystem.
@@ -18,7 +16,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "geo/region.hpp"
 #include "topology/energy_saving.hpp"
 #include "topology/sector.hpp"
 #include "topology/vendor.hpp"
@@ -29,18 +26,9 @@ namespace tl::faults {
 enum class FaultKind : std::uint8_t {
   /// One radio sector off-air (hardware failure, fiber cut to the head).
   kSectorOutage = 0,
-  /// One sector stays on-air but its HOF probability is inflated (the
-  /// Table 6 sector-day incident shape: a bad day, not a dead sector).
-  kSectorDegraded,
-  /// Core-entity (MME/SGW pool) overload: regional HOF inflation plus an
-  /// overload boost that steers failures toward Cause #4.
-  kCoreOverloadStorm,
   /// A software regression on one vendor's RAN fleet: vendor-wide HOF
   /// multiplier for the duration of the wave.
   kVendorBugWave,
-  /// Paging/signaling storm: regional target-overload boost (more
-  /// "target load too high" rejections) without a direct HOF multiplier.
-  kSignalingStorm,
 };
 
 /// One scripted incident. `start`/`end` bound the window as [start, end) in
@@ -50,16 +38,12 @@ struct FaultEvent {
   util::TimestampMs start = 0;
   util::TimestampMs end = 0;
 
-  // Scope selectors (only the ones the kind needs are read).
+  // Scope selectors: an outage reads `sector`, a bug wave `vendor`.
   topology::SectorId sector = topology::kInvalidSector;
-  geo::Region region = geo::Region::kCapital;
   topology::Vendor vendor = topology::Vendor::kV1;
 
-  /// Multiplies the per-HO failure probability for matching attempts.
+  /// Multiplies the per-HO failure probability of a bug wave's attempts.
   double hof_multiplier = 1.0;
-  /// Added to the target-overload rejection probability for matching
-  /// attempts (clamped to [0,1] by the consumer).
-  double overload_boost = 0.0;
 
   bool active_at(util::TimestampMs t) const noexcept { return t >= start && t < end; }
   /// Whether the window overlaps half-hour bin `bin` of day `day`.
@@ -67,9 +51,9 @@ struct FaultEvent {
 };
 
 /// The assembled schedule. Events are partitioned into availability events
-/// (outages, consulted per sector lookup) and modifier events (HOF
-/// multipliers / overload boosts, consulted per HO attempt) so each hot-path
-/// query scans only the relevant — typically tiny — list.
+/// (outages, consulted per sector lookup) and modifier events (bug waves'
+/// HOF multipliers, consulted per HO attempt) so each hot-path query scans
+/// only the relevant — typically tiny — list.
 class FaultSchedule final : public topology::SectorAvailabilityOverride {
  public:
   FaultSchedule() = default;
@@ -86,14 +70,9 @@ class FaultSchedule final : public topology::SectorAvailabilityOverride {
   bool forced_off(const topology::RadioSector& sector, int day,
                   int half_hour_bin) const noexcept override;
 
-  /// Product of the HOF multipliers of every modifier event active at `t`
-  /// whose scope matches the attempt (source sector / vendor / region).
-  double hof_multiplier(topology::SectorId source_sector, topology::Vendor vendor,
-                        geo::Region region, util::TimestampMs t) const noexcept;
-
-  /// Sum of the overload boosts of every modifier event active at `t`
-  /// scoped to `region`. Caller clamps the boosted overload to [0, 1].
-  double overload_boost(geo::Region region, util::TimestampMs t) const noexcept;
+  /// Product of the HOF multipliers of every bug wave active at `t` on
+  /// the attempt's source vendor.
+  double hof_multiplier(topology::Vendor vendor, util::TimestampMs t) const noexcept;
 
  private:
   std::vector<FaultEvent> outages_;

@@ -75,19 +75,11 @@ const BudgetClamp* PressurePlan::at(std::uint64_t tick) const noexcept {
 
 // --- MemoryBudget ------------------------------------------------------------
 
-MemoryBudget::MemoryBudget(Options options) : options_(options) {
-  if (options_.elevated_fraction <= 0.0 || options_.elevated_fraction >= 1.0 ||
-      options_.critical_fraction <= options_.elevated_fraction ||
-      options_.critical_fraction > 1.0) {
-    throw std::invalid_argument{
-        "MemoryBudget: need 0 < elevated_fraction < critical_fraction <= 1"};
-  }
-  if (options_.hysteresis_fraction < 0.0 ||
-      options_.hysteresis_fraction >= options_.elevated_fraction) {
-    throw std::invalid_argument{
-        "MemoryBudget: hysteresis_fraction out of range"};
-  }
-}
+static_assert(0.0 < MemoryBudget::kElevatedFraction &&
+              MemoryBudget::kElevatedFraction < MemoryBudget::kCriticalFraction &&
+              MemoryBudget::kCriticalFraction <= 1.0);
+static_assert(0.0 <= MemoryBudget::kHysteresisFraction &&
+              MemoryBudget::kHysteresisFraction < MemoryBudget::kElevatedFraction);
 
 Accountant MemoryBudget::accountant(const std::string& name) {
   std::lock_guard<std::mutex> lock{mutex_};
@@ -131,9 +123,9 @@ PressureLevel MemoryBudget::level_locked() {
     next = PressureLevel::kSteady;  // unlimited: accounting only
   } else {
     const double b = static_cast<double>(budget);
-    const double elevated = options_.elevated_fraction * b;
-    const double critical = options_.critical_fraction * b;
-    const double hysteresis = options_.hysteresis_fraction * b;
+    const double elevated = kElevatedFraction * b;
+    const double critical = kCriticalFraction * b;
+    const double hysteresis = kHysteresisFraction * b;
     const double u = static_cast<double>(used);
     // Upgrade at the threshold; downgrade only once clear of it by the
     // hysteresis margin. One step per observation in either direction is
@@ -203,7 +195,7 @@ void MemoryBudget::record_allocation_failure() {
   alloc_failures_.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock{mutex_};
   alloc_hold_until_ =
-      std::max(alloc_hold_until_, ticks_ + options_.alloc_failure_hold_ticks);
+      std::max(alloc_hold_until_, ticks_ + kAllocFailureHoldTicks);
   resolve_obs_locked();
   obs_alloc_failures_.inc();
 }

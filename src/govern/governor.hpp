@@ -55,8 +55,8 @@ namespace tl::govern {
 
 enum class PressureLevel : std::uint8_t {
   kSteady = 0,    ///< comfortably under budget
-  kElevated = 1,  ///< above elevated_fraction: shed optional detail
-  kCritical = 2,  ///< above critical_fraction (or a real allocation failure)
+  kElevated = 1,  ///< above kElevatedFraction: shed optional detail
+  kCritical = 2,  ///< above kCriticalFraction (or a real allocation failure)
 };
 
 const char* to_string(PressureLevel level) noexcept;
@@ -131,18 +131,19 @@ class MemoryBudget {
   struct Options {
     /// Total byte budget; 0 = unlimited (accounting only, always Steady).
     std::uint64_t budget_bytes = 0;
-    /// Level thresholds as fractions of the effective budget.
-    double elevated_fraction = 0.70;
-    double critical_fraction = 0.90;
-    /// Downgrade hysteresis: a level is left only when usage drops below
-    /// threshold - hysteresis_fraction * budget.
-    double hysteresis_fraction = 0.05;
-    /// Ticks a real allocation failure pins the level at Critical.
-    std::uint64_t alloc_failure_hold_ticks = 2;
   };
 
+  /// Level thresholds as fractions of the effective budget.
+  static constexpr double kElevatedFraction = 0.70;
+  static constexpr double kCriticalFraction = 0.90;
+  /// Downgrade hysteresis: a level is left only when usage drops below
+  /// threshold - kHysteresisFraction * budget.
+  static constexpr double kHysteresisFraction = 0.05;
+  /// Ticks a real allocation failure pins the level at Critical.
+  static constexpr std::uint64_t kAllocFailureHoldTicks = 2;
+
   MemoryBudget() : MemoryBudget(Options{}) {}
-  explicit MemoryBudget(Options options);
+  explicit MemoryBudget(Options options) : options_(options) {}
 
   MemoryBudget(const MemoryBudget&) = delete;
   MemoryBudget& operator=(const MemoryBudget&) = delete;
@@ -184,7 +185,7 @@ class MemoryBudget {
   void set_level(PressureLevel level);
 
   /// A real allocation failure (bad_alloc): pin Critical for
-  /// alloc_failure_hold_ticks ticks so a degraded retry runs with maximum
+  /// kAllocFailureHoldTicks ticks so a degraded retry runs with maximum
   /// shedding instead of re-failing. Thread-safe.
   void record_allocation_failure();
   std::uint64_t allocation_failures() const noexcept;
@@ -203,8 +204,6 @@ class MemoryBudget {
     std::vector<AccountSnapshot> accounts;  ///< name-sorted
   };
   Snapshot snapshot();
-
-  const Options& options() const noexcept { return options_; }
 
  private:
   friend class Accountant;  // lock-free used_/peak_ updates

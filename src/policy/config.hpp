@@ -1,6 +1,6 @@
 #pragma once
 
-// Policy selection knobs, embedded in core::StudyConfig so a study names its
+// Policy selection, embedded in core::StudyConfig so a study names its
 // handover policy the same way it names its scale or seed. Kept free of the
 // policy class headers: everything below is plain data.
 
@@ -13,63 +13,22 @@ enum class PolicyKind : std::uint8_t {
   /// Replays the calibrated pipeline's decision sequence byte-for-byte —
   /// the default, and the reference arm of every A/B experiment.
   kCalibratedBaseline = 0,
-  kSignalThreshold,
+  /// Keeps the calibrated decision sequence (same HO opportunities, same
+  /// draws) but diverts the handover to the least-loaded candidate sector
+  /// whenever the chosen target's modeled utilization is above a guard.
   kLoadBalancing,
-  kRatPreference,
 };
 
 constexpr std::string_view to_string(PolicyKind kind) noexcept {
   switch (kind) {
     case PolicyKind::kCalibratedBaseline: return "calibrated-baseline";
-    case PolicyKind::kSignalThreshold: return "signal-threshold";
     case PolicyKind::kLoadBalancing: return "load-balancing";
-    case PolicyKind::kRatPreference: return "rat-preference";
   }
   return "?";
 }
 
-/// SignalThresholdPolicy: rxlev-style serving floor + neighbor hysteresis +
-/// per-neighbor penalty timers after a failed HO toward that neighbor.
-struct SignalThresholdParams {
-  /// A2-style serving floor: below this the UE is under handover pressure
-  /// even when no neighbor clears the hysteresis margin.
-  double serving_floor_dbm = -100.0;
-  /// A3-style margin: a neighbor must measure this much above serving.
-  double hysteresis_db = 2.0;
-  /// Penalty timer armed per neighbor on a failed HO toward it.
-  std::int64_t penalty_ms = 8'000;
-  /// Nearest sites enumerated for the neighbor list.
-  std::uint32_t candidate_sites = 3;
-};
-
-/// LoadBalancingPolicy: keeps the calibrated decision sequence (same HO
-/// opportunities, same draws) but diverts the handover to the least-loaded
-/// candidate sector whenever the chosen target's modeled utilization is
-/// above the guard — mobility-load-balancing-style target re-selection that
-/// attacks the target-overload failure cause (#4) head on.
-struct LoadBalancingParams {
-  /// Divert when the chosen target's utilization exceeds this. The failure
-  /// model's overload ramp starts at 0.92; guarding below it re-targets
-  /// before rejections begin.
-  double overload_guard = 0.85;
-  /// Nearest sites enumerated for the alternative-candidate set.
-  std::uint32_t candidate_sites = 3;
-};
-
-/// RatPreferencePolicy: suppress a →3G/→2G fallback decision when a 4G/5G
-/// neighbor still clears a minimum signal margin.
-struct RatPreferenceParams {
-  /// A 4G/5G neighbor at or above this RSRP overrides the fallback.
-  double min_rsrp_4g_dbm = -112.0;
-  /// Nearest sites enumerated when looking for the 4G/5G alternative.
-  std::uint32_t candidate_sites = 3;
-};
-
 struct PolicyConfig {
   PolicyKind kind = PolicyKind::kCalibratedBaseline;
-  SignalThresholdParams signal;
-  LoadBalancingParams load;
-  RatPreferenceParams rat;
 };
 
 }  // namespace tl::policy

@@ -2,11 +2,8 @@
 
 #include <stdexcept>
 
-#include "policy/measurements.hpp"
-
 namespace tl::policy {
 
-using topology::ObservedRat;
 using topology::kInvalidSector;
 
 HoDecision CalibratedBaselinePolicy::decide(const PolicyEnv& env, const HoOpportunity& opp,
@@ -30,70 +27,6 @@ HoDecision CalibratedBaselinePolicy::decide(const PolicyEnv& env, const HoOpport
   d.target = target;
   obs_handovers_.inc();
   return d;
-}
-
-HoDecision SignalThresholdPolicy::decide(const PolicyEnv& env, const HoOpportunity& opp,
-                                         UeDayState& state, util::Rng& rng) const {
-  obs_decisions_.inc();
-  // Shared opportunity marginals (common random numbers with the baseline):
-  // the fallback/SRVCC pressure draw stays on the main stream.
-  const ran::TargetDecision td =
-      env.selector->decide(*opp.ue, opp.postcode, opp.voice_active, rng);
-
-  HoDecision d;
-  d.target_rat = td.target_rat;
-  d.srvcc = td.srvcc;
-
-  auto& cand = state.scratch_sectors;
-  env.locator->candidates(opp.position, td.target_rat, *opp.ue, opp.day, opp.bin,
-                          params_.candidate_sites, cand);
-  if (cand.empty()) {
-    obs_holds_.inc();
-    return d;
-  }
-
-  // Strongest non-serving, non-penalized neighbor. Strict > keeps RSRP ties
-  // on the nearer site (candidate order is proximity-stable).
-  bool penalty_blocked = false;
-  topology::SectorId best = kInvalidSector;
-  double best_rsrp = -1e9;
-  for (const topology::SectorId sid : cand) {
-    if (sid == opp.serving) continue;
-    if (state.penalized(sid, opp.time)) {
-      penalty_blocked = true;
-      continue;
-    }
-    const double rsrp = measured_rsrp_dbm(env, opp, sid);
-    if (rsrp > best_rsrp) {
-      best_rsrp = rsrp;
-      best = sid;
-    }
-  }
-  if (best == kInvalidSector) {
-    if (penalty_blocked) obs_penalty_holds_.inc();
-    obs_holds_.inc();
-    return d;
-  }
-
-  const double serving_rsrp = measured_rsrp_dbm(env, opp, opp.serving);
-  const bool a2 = serving_rsrp < params_.serving_floor_dbm;
-  const bool a3 = best_rsrp >= serving_rsrp + params_.hysteresis_db;
-  if ((!a2 && !a3) || !ran_guards_allow(env, opp, state, best)) {
-    obs_holds_.inc();
-    return d;
-  }
-  d.handover = true;
-  d.target = best;
-  obs_handovers_.inc();
-  return d;
-}
-
-void SignalThresholdPolicy::on_outcome(const PolicyEnv&, const HoOpportunity& opp,
-                                       const HoDecision& decision, bool success,
-                                       UeDayState& state) const {
-  if (!success && decision.handover) {
-    state.add_penalty(decision.target, opp.time + params_.penalty_ms);
-  }
 }
 
 HoDecision LoadBalancingPolicy::decide(const PolicyEnv& env, const HoOpportunity& opp,
@@ -120,10 +53,10 @@ HoDecision LoadBalancingPolicy::decide(const PolicyEnv& env, const HoOpportunity
   // ties on the nearer site; serving and guard-blocked sectors excluded).
   const double target_util =
       env.load->utilization(env.deployment->sector(target), opp.day, opp.bin);
-  if (target_util > params_.overload_guard) {
+  if (target_util > kOverloadGuard) {
     auto& cand = state.scratch_sectors;
     env.locator->candidates(opp.position, td.target_rat, *opp.ue, opp.day, opp.bin,
-                            params_.candidate_sites, cand);
+                            kCandidateSites, cand);
     topology::SectorId best = kInvalidSector;
     double best_util = target_util;
     for (const topology::SectorId sid : cand) {
@@ -147,97 +80,12 @@ HoDecision LoadBalancingPolicy::decide(const PolicyEnv& env, const HoOpportunity
   return d;
 }
 
-HoDecision RatPreferencePolicy::decide(const PolicyEnv& env, const HoOpportunity& opp,
-                                       UeDayState& state, util::Rng& rng) const {
-  obs_decisions_.inc();
-  const ran::TargetDecision td =
-      env.selector->decide(*opp.ue, opp.postcode, opp.voice_active, rng);
-
-  HoDecision d;
-  d.target_rat = td.target_rat;
-  d.srvcc = td.srvcc;
-
-  // The 4G/5G neighborhood, measured: used both to veto fallback and as the
-  // horizontal target pool.
-  auto& g4 = state.scratch_sectors_4g;
-  env.locator->candidates(opp.position, ObservedRat::kG45Nsa, *opp.ue, opp.day, opp.bin,
-                          params_.candidate_sites, g4);
-  topology::SectorId best4 = kInvalidSector;
-  double best4_rsrp = -1e9;
-  for (const topology::SectorId sid : g4) {
-    if (sid == opp.serving) continue;
-    const double rsrp = measured_rsrp_dbm(env, opp, sid);
-    if (rsrp > best4_rsrp) {
-      best4_rsrp = rsrp;
-      best4 = sid;
-    }
-  }
-
-  if (td.target_rat != ObservedRat::kG45Nsa) {
-    const double serving_rsrp = measured_rsrp_dbm(env, opp, opp.serving);
-    const bool serving_ok = serving_rsrp >= params_.min_rsrp_4g_dbm;
-    const bool neighbor_ok = best4 != kInvalidSector && best4_rsrp >= params_.min_rsrp_4g_dbm;
-    if (serving_ok || neighbor_ok) {
-      // Suppress the fallback: 4G/5G still works here. Prefer the stronger
-      // 4G cell; staying on serving is a hold (no record, like any hold).
-      obs_fallback_suppressed_.inc();
-      obs_overrides_.inc();
-      if (neighbor_ok && best4_rsrp > serving_rsrp &&
-          ran_guards_allow(env, opp, state, best4)) {
-        d.handover = true;
-        d.target = best4;
-        d.target_rat = ObservedRat::kG45Nsa;
-        d.srvcc = false;
-        obs_handovers_.inc();
-        return d;
-      }
-      obs_holds_.inc();
-      return d;
-    }
-    // Fallback proceeds: strongest cell of the fallback class.
-    auto& fc = state.scratch_sectors;
-    env.locator->candidates(opp.position, td.target_rat, *opp.ue, opp.day, opp.bin,
-                            params_.candidate_sites, fc);
-    topology::SectorId best_fb = kInvalidSector;
-    double best_fb_rsrp = -1e9;
-    for (const topology::SectorId sid : fc) {
-      const double rsrp = measured_rsrp_dbm(env, opp, sid);
-      if (rsrp > best_fb_rsrp) {
-        best_fb_rsrp = rsrp;
-        best_fb = sid;
-      }
-    }
-    if (!ran_guards_allow(env, opp, state, best_fb)) {
-      obs_holds_.inc();
-      return d;
-    }
-    d.handover = true;
-    d.target = best_fb;
-    obs_handovers_.inc();
-    return d;
-  }
-
-  // Horizontal: strongest 4G/5G neighbor, if it beats nothing it is a hold.
-  if (best4 == kInvalidSector || !ran_guards_allow(env, opp, state, best4)) {
-    obs_holds_.inc();
-    return d;
-  }
-  d.handover = true;
-  d.target = best4;
-  obs_handovers_.inc();
-  return d;
-}
-
 std::unique_ptr<HandoverPolicy> make_policy(const PolicyConfig& config) {
   switch (config.kind) {
     case PolicyKind::kCalibratedBaseline:
       return std::make_unique<CalibratedBaselinePolicy>();
-    case PolicyKind::kSignalThreshold:
-      return std::make_unique<SignalThresholdPolicy>(config.signal);
     case PolicyKind::kLoadBalancing:
-      return std::make_unique<LoadBalancingPolicy>(config.load);
-    case PolicyKind::kRatPreference:
-      return std::make_unique<RatPreferencePolicy>(config.rat);
+      return std::make_unique<LoadBalancingPolicy>();
   }
   throw std::invalid_argument{"unknown policy kind"};
 }

@@ -1,6 +1,6 @@
 #pragma once
 
-// The four stock handover policies and their factory. See policy.hpp for
+// The two stock handover policies and their factory. See policy.hpp for
 // the determinism contract each implementation honors.
 
 #include <memory>
@@ -21,25 +21,6 @@ class CalibratedBaselinePolicy final : public HandoverPolicy {
                     util::Rng& rng) const override;
 };
 
-/// Rxlev-style thresholds: hand over only under A2 (serving below floor) or
-/// A3 (neighbor clears hysteresis) pressure, toward the strongest
-/// non-penalized neighbor; a failed HO arms a per-neighbor penalty timer.
-class SignalThresholdPolicy final : public HandoverPolicy {
- public:
-  explicit SignalThresholdPolicy(SignalThresholdParams params = {}) noexcept
-      : params_(params) {}
-  const char* name() const noexcept override { return "signal-threshold"; }
-  HoDecision decide(const PolicyEnv& env, const HoOpportunity& opp, UeDayState& state,
-                    util::Rng& rng) const override;
-  void on_outcome(const PolicyEnv& env, const HoOpportunity& opp,
-                  const HoDecision& decision, bool success,
-                  UeDayState& state) const override;
-  const SignalThresholdParams& params() const noexcept { return params_; }
-
- private:
-  SignalThresholdParams params_;
-};
-
 /// Sector-load-aware target selection: replays the calibrated decision
 /// sequence, then diverts any handover whose target is hotter than the
 /// overload guard to the least-loaded candidate of the same RAT class.
@@ -48,34 +29,19 @@ class SignalThresholdPolicy final : public HandoverPolicy {
 /// (common random numbers with the baseline arm).
 class LoadBalancingPolicy final : public HandoverPolicy {
  public:
-  explicit LoadBalancingPolicy(LoadBalancingParams params = {}) noexcept
-      : params_(params) {}
+  /// Divert when the chosen target's utilization exceeds this. The failure
+  /// model's overload ramp starts at 0.92; guarding below it re-targets
+  /// before rejections begin.
+  static constexpr double kOverloadGuard = 0.85;
+  /// Nearest sites enumerated for the alternative-candidate set.
+  static constexpr std::size_t kCandidateSites = 3;
+
   const char* name() const noexcept override { return "load-balancing"; }
   HoDecision decide(const PolicyEnv& env, const HoOpportunity& opp, UeDayState& state,
                     util::Rng& rng) const override;
-  const LoadBalancingParams& params() const noexcept { return params_; }
-
- private:
-  LoadBalancingParams params_;
 };
 
-/// Suppresses →3G/→2G fallback whenever a 4G/5G cell (serving included)
-/// still clears a minimum RSRP margin — the "don't leave 4G early" rule the
-/// paper's ≈166%/≈915% →3G/→2G HOF inflation argues for.
-class RatPreferencePolicy final : public HandoverPolicy {
- public:
-  explicit RatPreferencePolicy(RatPreferenceParams params = {}) noexcept
-      : params_(params) {}
-  const char* name() const noexcept override { return "rat-preference"; }
-  HoDecision decide(const PolicyEnv& env, const HoOpportunity& opp, UeDayState& state,
-                    util::Rng& rng) const override;
-  const RatPreferenceParams& params() const noexcept { return params_; }
-
- private:
-  RatPreferenceParams params_;
-};
-
-/// Instantiates the policy named by `config.kind` with its parameter block.
+/// Instantiates the policy named by `config.kind`.
 std::unique_ptr<HandoverPolicy> make_policy(const PolicyConfig& config);
 
 }  // namespace tl::policy

@@ -1,6 +1,6 @@
 #pragma once
 
-// Pluggable handover decision engine (ROADMAP open item 3).
+// Pluggable handover decision engine.
 //
 // The simulator's hot loop hands every handover opportunity — one mobility
 // trace event of one UE-day — to a HandoverPolicy and executes whatever it
@@ -8,30 +8,28 @@
 // marginals (→3G carrying 75% of HOFs, the rural peak-hour spike, ...) can
 // be *explained* by swapping the decision rule instead of only replayed.
 //
-// Determinism contract, in order of strictness:
+// Determinism contract:
 //  - CalibratedBaselinePolicy replays the legacy decision sequence with the
 //    simulator's own per-UE-day RNG stream: the record stream, WAL bytes and
 //    checkpoints are byte-identical to the pre-policy-engine pipeline at any
 //    thread count and across kill/resume.
-//  - Every other policy keeps its stochastic needs on a policy-private
-//    stream derived per (seed, ue, day) (UeDayState::rng) and limits main-
-//    stream draws to the shared opportunity marginals (TargetSelector::
-//    decide), so arms of an A/B experiment face common random numbers and
-//    each policy's output is a pure function of (config, seed).
+//  - LoadBalancingPolicy makes the baseline's draws, in the baseline's
+//    order, and ranks alternatives with draw-free candidate enumeration
+//    (SectorLocator::candidates), so the arms of an A/B experiment face
+//    common random numbers and its output is a pure function of
+//    (config, seed).
 //  - ALL mutable policy state lives in UeDayState, created fresh per UE-day:
 //    policies are shared const across worker threads, and cross-day state
 //    would break the day-as-independent-replay-unit contract that sharding,
 //    checkpoints and kill/resume depend on. Checkpoint formats are therefore
 //    unchanged under every policy.
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
 #include "devices/population.hpp"
 #include "geo/district.hpp"
 #include "obs/metrics.hpp"
-#include "ran/coverage.hpp"
 #include "ran/load.hpp"
 #include "ran/sector_locator.hpp"
 #include "ran/target_selection.hpp"
@@ -46,12 +44,9 @@ namespace tl::policy {
 /// is const: policies observe, the simulator executes.
 struct PolicyEnv {
   const topology::Deployment* deployment = nullptr;
-  const ran::CoverageMap* coverage = nullptr;
   const ran::TargetSelector* selector = nullptr;
   const ran::SectorLocator* locator = nullptr;
   const ran::LoadModel* load = nullptr;
-  /// Study master seed; policy-private streams derive from it.
-  std::uint64_t seed = 0;
   /// RAN-level knobs the baseline replicates exactly (StudyConfig mirrors).
   bool suppress_ping_pong = false;
   std::int64_t ping_pong_window_ms = 5'000;
@@ -94,37 +89,9 @@ struct UeDayState {
   topology::SectorId barred_sector = topology::kInvalidSector;
   util::TimestampMs barred_until = 0;
 
-  /// Policy-private deterministic stream, derived per (seed, ue, day) in
-  /// HandoverPolicy::begin_ue_day. Never entangled with the simulator's
-  /// main per-UE-day stream.
-  util::Rng rng{0};
-
-  /// Per-neighbor penalty timers (SignalThresholdPolicy): a failed HO bars
-  /// the neighbor for a while. Fixed-size ring — the oldest entry is
-  /// recycled — so state stays O(1) per UE-day.
-  struct Penalty {
-    topology::SectorId sector = topology::kInvalidSector;
-    util::TimestampMs until = 0;
-  };
-  static constexpr std::size_t kPenaltySlots = 8;
-  std::array<Penalty, kPenaltySlots> penalties{};
-  std::size_t penalty_next = 0;
-
-  /// Scratch buffers reused across the UE-day's opportunities so candidate
+  /// Scratch buffer reused across the UE-day's opportunities so candidate
   /// enumeration never allocates in the steady state.
   std::vector<topology::SectorId> scratch_sectors;
-  std::vector<topology::SectorId> scratch_sectors_4g;
-
-  bool penalized(topology::SectorId sector, util::TimestampMs now) const noexcept {
-    for (const Penalty& p : penalties) {
-      if (p.sector == sector && now < p.until) return true;
-    }
-    return false;
-  }
-  void add_penalty(topology::SectorId sector, util::TimestampMs until) noexcept {
-    penalties[penalty_next] = Penalty{sector, until};
-    penalty_next = (penalty_next + 1) % kPenaltySlots;
-  }
 };
 
 /// Base class. Implementations must be const-thread-safe: decide() runs
@@ -137,8 +104,8 @@ class HandoverPolicy {
 
   virtual const char* name() const noexcept = 0;
 
-  /// Called at the top of every UE-day. The default resets `state` and
-  /// derives the policy-private stream; overrides should call it first.
+  /// Called at the top of every UE-day. The default resets `state`;
+  /// overrides should call it first.
   virtual void begin_ue_day(const PolicyEnv& env, const devices::Ue& ue, int day,
                             UeDayState& state) const;
 
@@ -178,9 +145,7 @@ class HandoverPolicy {
   obs::Counter obs_decisions_;   ///< opportunities evaluated
   obs::Counter obs_handovers_;   ///< decisions that commanded a handover
   obs::Counter obs_holds_;       ///< decisions that held the UE on serving
-  obs::Counter obs_overrides_;   ///< policy diverged from the proximity/fallback default
-  obs::Counter obs_penalty_holds_;        ///< holds caused by a per-neighbor penalty timer
-  obs::Counter obs_fallback_suppressed_;  ///< →3G/→2G decisions kept on 4G/5G
+  obs::Counter obs_overrides_;   ///< policy diverged from the calibrated default target
 
  private:
   std::uint64_t obs_epoch_ = UINT64_MAX;

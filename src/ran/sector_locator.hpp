@@ -31,7 +31,6 @@ class SectorLocator {
   void set_fault_schedule(const faults::FaultSchedule* schedule) noexcept {
     faults_ = schedule;
   }
-  const faults::FaultSchedule* fault_schedule() const noexcept { return faults_; }
 
   /// Serving/target sector on the site nearest `position` for the UE's RAT
   /// class, honoring the energy-saving schedule. kInvalidSector if none.

@@ -5,7 +5,6 @@
 #include <optional>
 #include <stdexcept>
 
-#include "supervise/status.hpp"
 #include "telemetry/scrub.hpp"
 #include "util/byte_codec.hpp"
 #include "util/crc32c.hpp"
@@ -366,17 +365,6 @@ WalTailer::PollResult WalTailer::poll() {
   return result;
 }
 
-supervise::RetryReport WalTailer::poll_supervised(
-    const supervise::RetryPolicy& policy, PollResult* result) {
-  return supervise::run_with_retries(
-      policy, "serve poll of " + options_.wal_directory,
-      [&](const supervise::CancelToken& token) {
-        token.throw_if_cancelled();
-        const PollResult r = poll();
-        if (result) *result = r;
-      });
-}
-
 bool WalTailer::run_integrity(PollResult* result) {
   telemetry::LogIntegrity integrity{
       fs_, telemetry::ScrubOptions{options_.wal_directory,
@@ -408,12 +396,6 @@ bool WalTailer::run_integrity(PollResult* result) {
   if (result != nullptr) {
     result->segments_repaired += repaired;
     result->segments_quarantined += newly_quarantined;
-  }
-  if (newly_quarantined > 0 && options_.fail_on_data_loss) {
-    throw supervise::DataLossError{
-        "certified data loss in " + options_.wal_directory + ": " +
-        std::to_string(newly_quarantined) +
-        " segment(s) unreadable in every replica"};
   }
   return repaired > 0 || newly_quarantined > 0;
 }

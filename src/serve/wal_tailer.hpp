@@ -27,8 +27,8 @@
 // to a batch oracle's.
 //
 // All I/O goes through io::FileSystem, so FaultyFileSystem injects faults
-// underneath; poll_supervised() wraps a poll in the shared retry taxonomy
-// (transient IoError retries with backoff, SimulatedCrash propagates).
+// underneath. A failed poll throws with the cursor and aggregates at a day
+// boundary, so the caller's next poll retries idempotently.
 //
 // Resource governance: when a global govern::MemoryBudget is installed, the
 // tailer registers the "serve_aggregates" accountant and installs a
@@ -51,7 +51,6 @@
 #include "io/file.hpp"
 #include "obs/metrics.hpp"
 #include "serve/stream_aggregates.hpp"
-#include "supervise/retry.hpp"
 #include "telemetry/record_log.hpp"
 
 namespace tl::serve {
@@ -72,8 +71,8 @@ class WalTailer {
     /// default: retention is only safe when this tailer is the log's sole
     /// consumer of history.
     bool retention = false;
-    /// Days delivered per poll() before reporting kMore, bounding the time
-    /// between cancellation checks in a supervised loop.
+    /// Days delivered per poll() before reporting kMore, bounding the work
+    /// (and the time until the caller regains control) of one poll.
     std::uint64_t max_days_per_poll = 64;
     /// Mirror chain of the WAL (RecordLog::Options::mirror_directory of the
     /// writer). When set, a torn/corrupt follow triggers a storage-integrity
@@ -90,11 +89,6 @@ class WalTailer {
     /// it. 0 disables; the cadence is deterministic in the delivered-day
     /// count, never wall clock.
     std::uint64_t scrub_every_days = 0;
-    /// Strict mode: certified data loss (a newly quarantined segment)
-    /// throws supervise::DataLossError (-> StatusCode::kDataLoss) instead
-    /// of degrading. For consumers that would rather halt than serve a
-    /// stream with a hole, however well-accounted.
-    bool fail_on_data_loss = false;
   };
 
   /// `fs` is borrowed and must outlive the tailer.
@@ -127,12 +121,6 @@ class WalTailer {
   /// step's I/O fails (the next poll retries idempotently).
   PollResult poll();
 
-  /// poll() under run_with_retries: transient failures back off and retry,
-  /// permanent ones surface in the report, SimulatedCrash propagates. On
-  /// success `result` (if non-null) holds the last attempt's PollResult.
-  supervise::RetryReport poll_supervised(const supervise::RetryPolicy& policy,
-                                         PollResult* result = nullptr);
-
   /// Forces a checkpoint of the current state (no-op when nothing sealed
   /// since the last one).
   void checkpoint();
@@ -159,8 +147,7 @@ class WalTailer {
 
   /// Runs a storage-integrity pass now (scrub + read-repair + quarantine),
   /// independent of the cadence. Returns true when it repaired or newly
-  /// quarantined anything. Throws supervise::DataLossError on new
-  /// quarantine when fail_on_data_loss is set.
+  /// quarantined anything.
   bool scrub_now();
 
   // --- checkpoint wire format (exposed for tests) ---

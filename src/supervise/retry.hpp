@@ -1,14 +1,13 @@
 #pragma once
 
 // The one retry ladder: run_with_retries drives every supervised attempt —
-// each shard attempt of a supervised day (StudySupervisor runs one ladder per
-// shard on the shard's worker thread) and the serve-mode tailer's long-lived
-// operations (a WAL poll, a checkpoint write). It classifies each failure
-// with the shared taxonomy (status.hpp), backs off on a capped-exponential,
-// seeded-jitter schedule, optionally arms a per-attempt deadline watchdog
-// through a fresh CancelToken, grants one degraded re-run after a
-// kResourceExhausted failure escalates the global governor, and gives up with
-// a typed Status instead of an exception.
+// each shard attempt and each bisection probe of a supervised day
+// (StudySupervisor runs one ladder per shard on the shard's worker thread).
+// It classifies each failure with the shared taxonomy (status.hpp), backs
+// off on a capped-exponential, seeded-jitter schedule, optionally arms a
+// per-attempt deadline watchdog through a fresh CancelToken, grants one
+// degraded re-run after a kResourceExhausted failure escalates the global
+// governor, and gives up with a typed Status instead of an exception.
 //
 // Crash semantics: io::SimulatedCrash is never absorbed — it propagates out
 // so chaos harnesses see the process "die".

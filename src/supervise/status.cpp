@@ -18,7 +18,6 @@ std::string_view to_string(StatusCode code) noexcept {
     case StatusCode::kInternal: return "INTERNAL";
     case StatusCode::kUnknown: return "UNKNOWN";
     case StatusCode::kAborted: return "ABORTED";
-    case StatusCode::kDataLoss: return "DATA_LOSS";
   }
   return "BAD_STATUS_CODE";
 }
@@ -60,10 +59,6 @@ Status classify_exception(std::exception_ptr error) {
     throw;
   } catch (const CancelledError& e) {
     return Status{e.code(), e.what()};
-  } catch (const DataLossError& e) {
-    // Certified loss of committed data outranks the generic I/O lane: a
-    // retry cannot regrow bytes whose every replica is damaged.
-    return Status{StatusCode::kDataLoss, e.what()};
   } catch (const io::IoError& e) {
     return Status{StatusCode::kUnavailable, e.what()};
   } catch (const TransientError& e) {

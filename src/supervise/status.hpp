@@ -5,11 +5,11 @@
 // A four-week countrywide run does not fail with one clean exception type:
 // it sees transient I/O errors, hung workers, poisoned inputs, and genuine
 // logic bugs, and each demands a different reaction (retry, cancel, bisect,
-// abort). tl::Status is the single currency those decisions trade in at the
-// exec / telemetry / io boundaries — ad-hoc exceptions are converted exactly
-// once, at the shard-task boundary, by classify_exception(), and everything
-// above (retry policy, quarantine, reports) works with typed codes instead
-// of string-matching on what().
+// abort). tl::Status is the single currency those decisions trade in:
+// exceptions from the exec and io layers are converted exactly once, at the
+// shard-task boundary, by classify_exception(), and everything above (retry
+// policy, quarantine, reports) works with typed codes instead of
+// string-matching on what().
 
 #include <cstdint>
 #include <exception>
@@ -45,12 +45,6 @@ enum class StatusCode : std::uint8_t {
   kUnknown,
   /// Supervision itself gave up (retries and bisection exhausted).
   kAborted,
-  /// Committed data is unrecoverable: every replica of a WAL range is
-  /// damaged and read-repair certified the loss (exact day/record
-  /// accounting travels in the message / RepairEvent). Not retryable — the
-  /// bytes are gone; the caller decides whether a quarantined-range study
-  /// is still a study.
-  kDataLoss,
 };
 
 std::string_view to_string(StatusCode code) noexcept;
@@ -103,20 +97,9 @@ class PermanentError : public std::runtime_error {
   explicit PermanentError(const std::string& what) : std::runtime_error(what) {}
 };
 
-/// Thrown when storage integrity certifies that committed data is gone:
-/// both the primary and the mirror copy of a sealed WAL range are damaged.
-/// Maps to kDataLoss (permanent). Defined inline so the telemetry/serve
-/// layers can throw it with only this header (tl_supervise links tl_exec
-/// links tl_telemetry — a link edge back up would be a cycle).
-class DataLossError : public std::runtime_error {
- public:
-  explicit DataLossError(const std::string& what) : std::runtime_error(what) {}
-};
-
 /// Maps an in-flight exception to a Status:
 ///
 ///   CancelledError            -> its embedded code (kCancelled / kDeadlineExceeded)
-///   DataLossError             -> kDataLoss             (permanent, certified)
 ///   io::IoError               -> kUnavailable          (retryable)
 ///   TransientError            -> kUnavailable          (retryable)
 ///   PermanentError            -> kInternal             (permanent)

@@ -189,15 +189,10 @@ void CauseAggregator::consume(const HandoverRecord& record) {
                      bucket];
   }
   durations_[bucket].add(record.duration_ms);
-  seen_causes_.push_back(record.cause);
+  seen_causes_.set(record.cause);
 }
 
-std::size_t CauseAggregator::distinct_causes() const {
-  std::vector<std::uint32_t> ids = seen_causes_;
-  std::sort(ids.begin(), ids.end());
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-  return ids.size();
-}
+std::size_t CauseAggregator::distinct_causes() const { return seen_causes_.count(); }
 
 CauseAggregator::DailyShare CauseAggregator::daily_share(std::size_t bucket) const {
   if (bucket >= kBuckets) throw std::out_of_range{"CauseAggregator::daily_share"};

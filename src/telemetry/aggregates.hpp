@@ -4,7 +4,9 @@
 // what one family of figures/tables needs, in bounded memory.
 
 #include <array>
+#include <bitset>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "geo/country.hpp"
@@ -180,7 +182,8 @@ class CauseAggregator : public RecordSink {
   std::array<std::array<std::uint64_t, kBuckets>, 2> by_area_{};
   std::array<std::array<std::uint64_t, kBuckets>, 3> by_device_{};
   std::vector<std::uint64_t> by_maker_area_;  // [(maker*2+area)*kBuckets+bucket]
-  std::vector<std::uint32_t> seen_causes_;    // sorted-unique lazily
+  /// One bit per possible CauseId (8 KiB), set on first sight.
+  std::bitset<std::size_t{std::numeric_limits<corenet::CauseId>::max()} + 1> seen_causes_;
   std::vector<util::ReservoirSample> durations_;
 };
 

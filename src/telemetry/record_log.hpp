@@ -251,7 +251,7 @@ class RecordLog {
   /// cursor to resume). Safe to call while a writer is appending: the open
   /// day streamed past the last marker is reported as kPending, never torn
   /// and never delivered twice. Delivers at most `max_days` days per call so a
-  /// supervised poll loop keeps bounded latency (kMore = call again).
+  /// poll loop keeps bounded latency (kMore = call again).
   ///
   /// Throws io::IoError when the chain is corrupt in a way bytes cannot
   /// explain away (marker counts disagreeing with frames, non-monotonic

@@ -35,9 +35,6 @@ class EnergySavingPolicy {
   void set_availability_override(const SectorAvailabilityOverride* override_hook) noexcept {
     override_ = override_hook;
   }
-  const SectorAvailabilityOverride* availability_override() const noexcept {
-    return override_;
-  }
 
   /// Fraction of the booster fleet allowed to sleep in this half-hour bin
   /// (0 = all boosters on). Deterministic daily shape; identical for

@@ -12,6 +12,7 @@
 #include "faults/scenarios.hpp"
 #include "telemetry/aggregates.hpp"
 #include "telemetry/signaling_dataset.hpp"
+#include "telemetry/sinks.hpp"
 
 namespace tl::faults {
 namespace {
@@ -59,11 +60,9 @@ TEST(FaultSchedule, EventWindowsAndScopes) {
   FaultSchedule schedule;
   schedule.add(sector_outage(7, at_hour(0, 10.0), at_hour(0, 14.0)));
   schedule.add(vendor_bug_wave(topology::Vendor::kV2, at_hour(1, 0.0), at_hour(2, 0.0), 5.0));
-  schedule.add(signaling_storm(geo::Region::kWest, at_hour(0, 8.0), at_hour(0, 9.0), 0.4));
-  schedule.add(core_overload_storm(geo::Region::kWest, at_hour(0, 8.0), at_hour(0, 9.0),
-                                   3.0, 0.2));
+  schedule.add(vendor_bug_wave(topology::Vendor::kV2, at_hour(1, 4.0), at_hour(1, 5.0), 3.0));
   EXPECT_FALSE(schedule.empty());
-  EXPECT_EQ(schedule.size(), 4u);
+  EXPECT_EQ(schedule.size(), 3u);
 
   // Outage matches only its sector, only inside the window, and modifies
   // nothing.
@@ -72,30 +71,17 @@ TEST(FaultSchedule, EventWindowsAndScopes) {
   EXPECT_TRUE(schedule.forced_off(sector, 0, 24));    // [12:00, 12:30)
   EXPECT_FALSE(schedule.forced_off(sector, 0, 19));   // [9:30, 10:00)
   EXPECT_FALSE(schedule.forced_off(sector, 0, 28));   // [14:00, 14:30): end exclusive
-  EXPECT_DOUBLE_EQ(
-      schedule.hof_multiplier(7, topology::Vendor::kV1, geo::Region::kNorth, at_hour(0, 12.0)),
-      1.0);
+  EXPECT_DOUBLE_EQ(schedule.hof_multiplier(topology::Vendor::kV1, at_hour(0, 12.0)), 1.0);
   sector.id = 8;
   EXPECT_FALSE(schedule.forced_off(sector, 0, 24));
 
   // Bug wave multiplies only the matching vendor inside the window.
-  EXPECT_DOUBLE_EQ(
-      schedule.hof_multiplier(0, topology::Vendor::kV2, geo::Region::kNorth, at_hour(1, 6.0)),
-      5.0);
-  EXPECT_DOUBLE_EQ(
-      schedule.hof_multiplier(0, topology::Vendor::kV1, geo::Region::kNorth, at_hour(1, 6.0)),
-      1.0);
-  EXPECT_DOUBLE_EQ(
-      schedule.hof_multiplier(0, topology::Vendor::kV2, geo::Region::kNorth, at_hour(0, 6.0)),
-      1.0);
+  EXPECT_DOUBLE_EQ(schedule.hof_multiplier(topology::Vendor::kV2, at_hour(1, 6.0)), 5.0);
+  EXPECT_DOUBLE_EQ(schedule.hof_multiplier(topology::Vendor::kV1, at_hour(1, 6.0)), 1.0);
+  EXPECT_DOUBLE_EQ(schedule.hof_multiplier(topology::Vendor::kV2, at_hour(0, 6.0)), 1.0);
 
-  // Storm boosts stack; only the core storm carries a HOF multiplier.
-  EXPECT_DOUBLE_EQ(schedule.overload_boost(geo::Region::kWest, at_hour(0, 8.5)),
-                   0.4 + 0.2);
-  EXPECT_DOUBLE_EQ(schedule.overload_boost(geo::Region::kNorth, at_hour(0, 8.5)), 0.0);
-  EXPECT_DOUBLE_EQ(
-      schedule.hof_multiplier(0, topology::Vendor::kV1, geo::Region::kWest, at_hour(0, 8.5)),
-      3.0);
+  // Overlapping waves on one vendor multiply.
+  EXPECT_DOUBLE_EQ(schedule.hof_multiplier(topology::Vendor::kV2, at_hour(1, 4.5)), 15.0);
 }
 
 TEST(FaultSchedule, ForcedOffCoversOverlappingBins) {
@@ -114,27 +100,6 @@ TEST(FaultSchedule, ForcedOffCoversOverlappingBins) {
   EXPECT_FALSE(schedule.forced_off(sector, 0, 20));
 }
 
-TEST(Scenarios, SectorDayIncidentsAreSeedDeterministic) {
-  const StudyConfig cfg = small_config();
-  const Simulator sim{cfg};
-  const Scenario a = sector_day_incidents(sim.deployment(), 3, 2.0, 99);
-  const Scenario b = sector_day_incidents(sim.deployment(), 3, 2.0, 99);
-  const Scenario c = sector_day_incidents(sim.deployment(), 3, 2.0, 100);
-  ASSERT_EQ(a.events.size(), b.events.size());
-  for (std::size_t i = 0; i < a.events.size(); ++i) {
-    EXPECT_EQ(a.events[i].kind, b.events[i].kind);
-    EXPECT_EQ(a.events[i].sector, b.events[i].sector);
-    EXPECT_EQ(a.events[i].start, b.events[i].start);
-    EXPECT_EQ(a.events[i].end, b.events[i].end);
-  }
-  EXPECT_GT(a.events.size(), 0u);
-  bool differs = a.events.size() != c.events.size();
-  for (std::size_t i = 0; !differs && i < a.events.size(); ++i) {
-    differs = a.events[i].sector != c.events[i].sector || a.events[i].start != c.events[i].start;
-  }
-  EXPECT_TRUE(differs);
-}
-
 // --- simulator integration ---------------------------------------------------
 
 TEST(FaultInjection, EmptyScheduleIsByteIdentical) {
@@ -149,7 +114,7 @@ TEST(FaultInjection, SameScheduleSameSeedIsByteIdentical) {
   const StudyConfig cfg = small_config();
   FaultSchedule schedule;
   schedule.add(vendor_bug_wave(topology::Vendor::kV1, at_hour(0, 6.0), at_hour(0, 18.0), 8.0));
-  schedule.add(signaling_storm(geo::Region::kCapital, at_hour(0, 8.0), at_hour(0, 10.0), 0.5));
+  schedule.add(sector_outage(0, at_hour(0, 8.0), at_hour(0, 10.0)));
   const auto a = run_records(cfg, &schedule);
   const auto b = run_records(cfg, &schedule);
   expect_identical(a, b);
@@ -225,6 +190,30 @@ TEST(FaultInjection, VendorBugWaveInflatesOnlyItsScope) {
     if (r.day() == 1) fault_day1.push_back(r);
   }
   expect_identical(base_day1, fault_day1);
+}
+
+TEST(FaultInjection, DrillScheduleIsByteIdenticalAtEveryThreadCount) {
+  // incident_drill's schedule on the sharded path: one sector off-air and
+  // a x8 bug wave on its vendor over 10:00-14:00, with recovery on. The
+  // pin was taken from the serial run.
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    StudyConfig cfg = StudyConfig::test_scale();
+    cfg.recovery.enabled = true;
+    cfg.threads = threads;
+    Simulator sim{cfg};
+    const topology::SectorId victim = 5;
+    Scenario drill = single_sector_drill(victim, 0, 10.0, 14.0);
+    drill.add(vendor_bug_wave(sim.deployment().sector(victim).vendor, at_hour(0, 10.0),
+                              at_hour(0, 14.0), 8.0));
+    FaultSchedule schedule;
+    drill.install(schedule);
+    sim.set_fault_schedule(&schedule);
+    telemetry::ChecksumSink sink;
+    sim.add_sink(&sink);
+    sim.run();
+    EXPECT_EQ(sink.records(), 183'124u) << threads << " threads";
+    EXPECT_EQ(sink.checksum(), 0x011b53fbu) << threads << " threads";
+  }
 }
 
 TEST(FaultInjection, IncidentWindowAggregatorSeesTheDip) {

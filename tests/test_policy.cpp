@@ -1,9 +1,9 @@
 // Policy engine + A/B experiment tests: the calibrated-baseline byte-
 // identity contract (golden stream/WAL CRCs from the pre-policy-engine
-// pipeline, thread-count invariance, kill/resume), seed stability of the
-// non-baseline policies, the per-neighbor penalty ring, the synthetic
-// measurement feed, the tl_policy_* counters, the analysis ping-pong
-// detector, and determinism of the experiment harness's reduced report.
+// pipeline, thread-count invariance, kill/resume), the load-balancing
+// policy's pinned stream and seed stability, the per-UE-day state reset,
+// the tl_policy_* counters, the analysis ping-pong detector, and
+// determinism of the experiment harness's reduced report.
 
 #include <gtest/gtest.h>
 
@@ -19,7 +19,6 @@
 #include "experiment/ab_experiment.hpp"
 #include "io/file.hpp"
 #include "obs/metrics.hpp"
-#include "policy/measurements.hpp"
 #include "policy/policies.hpp"
 #include "telemetry/record_log.hpp"
 #include "telemetry/sinks.hpp"
@@ -53,6 +52,11 @@ namespace fs = std::filesystem;
 constexpr std::uint64_t kGoldenRecords = 180'878;
 constexpr std::uint32_t kGoldenStreamCrc = 0x81409458;
 constexpr std::uint32_t kGoldenWalCrc = 0xfb4925fe;
+
+// The serial stream of the load-balancing policy on the same world: the
+// baseline's opportunities with overload-bound targets diverted.
+constexpr std::uint64_t kLoadBalancingRecords = 192'739;
+constexpr std::uint32_t kLoadBalancingStreamCrc = 0x1ce5c014;
 
 struct TempDir {
   explicit TempDir(const std::string& name)
@@ -95,10 +99,7 @@ RunResult run_stream(const StudyConfig& config) {
 TEST(PolicyConfig, NamesAndDefault) {
   EXPECT_EQ(policy::to_string(policy::PolicyKind::kCalibratedBaseline),
             "calibrated-baseline");
-  EXPECT_EQ(policy::to_string(policy::PolicyKind::kSignalThreshold),
-            "signal-threshold");
   EXPECT_EQ(policy::to_string(policy::PolicyKind::kLoadBalancing), "load-balancing");
-  EXPECT_EQ(policy::to_string(policy::PolicyKind::kRatPreference), "rat-preference");
   // The default study runs the byte-identical baseline.
   EXPECT_EQ(StudyConfig{}.policy.kind, policy::PolicyKind::kCalibratedBaseline);
 }
@@ -106,8 +107,7 @@ TEST(PolicyConfig, NamesAndDefault) {
 TEST(PolicyConfig, MakePolicyInstantiatesEveryKindAndRejectsUnknown) {
   policy::PolicyConfig cfg;
   for (const auto kind :
-       {policy::PolicyKind::kCalibratedBaseline, policy::PolicyKind::kSignalThreshold,
-        policy::PolicyKind::kLoadBalancing, policy::PolicyKind::kRatPreference}) {
+       {policy::PolicyKind::kCalibratedBaseline, policy::PolicyKind::kLoadBalancing}) {
     cfg.kind = kind;
     const auto p = policy::make_policy(cfg);
     ASSERT_NE(p, nullptr);
@@ -119,78 +119,27 @@ TEST(PolicyConfig, MakePolicyInstantiatesEveryKindAndRejectsUnknown) {
 
 // --- per-UE-day policy state -------------------------------------------------
 
-TEST(UeDayState, PenaltyTimersExpireAndMissLookups) {
-  policy::UeDayState state;
-  EXPECT_FALSE(state.penalized(7, 0));
-  state.add_penalty(7, 5'000);
-  EXPECT_TRUE(state.penalized(7, 0));
-  EXPECT_TRUE(state.penalized(7, 4'999));
-  EXPECT_FALSE(state.penalized(7, 5'000));  // until is exclusive
-  EXPECT_FALSE(state.penalized(8, 0));      // other sectors unaffected
-}
-
-TEST(UeDayState, PenaltyRingRecyclesTheOldestSlot) {
-  policy::UeDayState state;
-  for (std::uint32_t i = 0; i < policy::UeDayState::kPenaltySlots; ++i) {
-    state.add_penalty(100 + i, 1'000'000);
-  }
-  EXPECT_TRUE(state.penalized(100, 0));
-  // One more penalty overwrites the oldest entry (sector 100), nothing else.
-  state.add_penalty(999, 1'000'000);
-  EXPECT_FALSE(state.penalized(100, 0));
-  EXPECT_TRUE(state.penalized(101, 0));
-  EXPECT_TRUE(state.penalized(999, 0));
-}
-
-TEST(UeDayState, BeginUeDayDerivesAPrivateStreamPerUeAndDay) {
+TEST(UeDayState, BeginUeDayResetsTheRanLevelFields) {
   const auto cfg = StudyConfig::test_scale();
   Simulator sim{cfg};
   const auto policy = policy::make_policy(policy::PolicyConfig{});
-  policy::UeDayState a, b, c;
-  policy->begin_ue_day(sim.policy_env(), sim.population().ue(0), 0, a);
-  policy->begin_ue_day(sim.policy_env(), sim.population().ue(0), 0, b);
-  policy->begin_ue_day(sim.policy_env(), sim.population().ue(0), 1, c);
-  // Same (seed, ue, day) → the same stream; a different day → a different one.
-  EXPECT_EQ(a.rng.uniform(), b.rng.uniform());
-  policy::UeDayState a2;
-  policy->begin_ue_day(sim.policy_env(), sim.population().ue(0), 0, a2);
-  EXPECT_NE(a2.rng.uniform(), c.rng.uniform());
-}
+  // A state left over from another UE-day: every field dirty.
+  policy::UeDayState state;
+  state.previous_serving = 7;
+  state.last_ho_time = 1'000;
+  state.barred_sector = 9;
+  state.barred_until = 2'000;
+  state.scratch_sectors = {1, 2, 3};
+  const std::size_t capacity = state.scratch_sectors.capacity();
 
-// --- synthetic measurements --------------------------------------------------
-
-TEST(Measurements, PureFunctionOfSeedSectorUeDayBin) {
-  const auto cfg = StudyConfig::test_scale();
-  Simulator sim{cfg};
-  const policy::PolicyEnv& env = sim.policy_env();
-  const auto& sector = sim.deployment().sectors().front();
-  const auto& site = sim.deployment().site(sector.site);
-
-  policy::HoOpportunity opp;
-  opp.ue = &sim.population().ue(0);
-  opp.position = site.location;
-  opp.day = 0;
-  opp.bin = 10;
-
-  const double at_site = policy::measured_rsrp_dbm(env, opp, sector.id);
-  EXPECT_EQ(at_site, policy::measured_rsrp_dbm(env, opp, sector.id));
-
-  // A different half-hour bin re-keys the shadowing term.
-  policy::HoOpportunity other_bin = opp;
-  other_bin.bin = 11;
-  EXPECT_NE(at_site, policy::measured_rsrp_dbm(env, other_bin, sector.id));
-
-  // 50 km of distance decays far more than shadowing can mask (~56 dB vs
-  // at most 8 dB of spread).
-  policy::HoOpportunity far = opp;
-  far.position.x_km += 50.0;
-  EXPECT_LT(policy::measured_rsrp_dbm(env, far, sector.id), at_site - 20.0);
-
-  // RSRQ proxy stays in a sane LTE-ish band.
-  const ran::CellMeasurement m = policy::measure_cell(env, opp, sector.id);
-  EXPECT_EQ(m.rsrp_dbm, at_site);
-  EXPECT_LE(m.rsrq_db, -10.0 + 1e-9);
-  EXPECT_GE(m.rsrq_db, -18.0 - 1e-9);
+  policy->begin_ue_day(sim.policy_env(), sim.population().ue(0), 1, state);
+  EXPECT_EQ(state.previous_serving, topology::kInvalidSector);
+  EXPECT_EQ(state.last_ho_time, 0);
+  EXPECT_EQ(state.barred_sector, topology::kInvalidSector);
+  EXPECT_EQ(state.barred_until, 0);
+  EXPECT_TRUE(state.scratch_sectors.empty());
+  // Scratch keeps its capacity, so the next UE-day does not reallocate.
+  EXPECT_EQ(state.scratch_sectors.capacity(), capacity);
 }
 
 // --- baseline byte identity --------------------------------------------------
@@ -285,9 +234,9 @@ TEST(PolicyDeterminism, KillResumeHoldsForNonBaselinePolicies) {
   // Per-UE-day policy state keeps days independent replay units, so the
   // kill/resume contract must hold under *any* policy, not just baseline.
   StudyConfig cfg = StudyConfig::test_scale();
-  cfg.policy.kind = policy::PolicyKind::kSignalThreshold;
+  cfg.policy.kind = policy::PolicyKind::kLoadBalancing;
 
-  TempDir ref_dir{"st_ref"};
+  TempDir ref_dir{"lb_ref"};
   RecordLog::Options opt;
   opt.directory = ref_dir.path;
   {
@@ -303,31 +252,27 @@ TEST(PolicyDeterminism, KillResumeHoldsForNonBaselinePolicies) {
 // --- non-baseline determinism ------------------------------------------------
 
 TEST(PolicyDeterminism, NonBaselinePoliciesAreSeedStableAndDistinct) {
-  for (const auto kind :
-       {policy::PolicyKind::kSignalThreshold, policy::PolicyKind::kLoadBalancing,
-        policy::PolicyKind::kRatPreference}) {
-    StudyConfig cfg = StudyConfig::test_scale();
-    cfg.policy.kind = kind;
-    const RunResult first = run_stream(cfg);
-    SCOPED_TRACE(policy::to_string(kind));
-    ASSERT_GT(first.records, 0u);
+  StudyConfig cfg = StudyConfig::test_scale();
+  cfg.policy.kind = policy::PolicyKind::kLoadBalancing;
+  const RunResult first = run_stream(cfg);
+  EXPECT_EQ(first.records, kLoadBalancingRecords);
+  EXPECT_EQ(first.stream_crc, kLoadBalancingStreamCrc);
 
-    // Same seed → the same stream, run to run and at any thread count.
-    EXPECT_EQ(run_stream(cfg).stream_crc, first.stream_crc);
-    StudyConfig threaded = cfg;
-    threaded.threads = 2;
-    const RunResult sharded = run_stream(threaded);
-    EXPECT_EQ(sharded.records, first.records);
-    EXPECT_EQ(sharded.stream_crc, first.stream_crc);
+  // Same seed → the same stream, run to run and at any thread count.
+  EXPECT_EQ(run_stream(cfg).stream_crc, first.stream_crc);
+  StudyConfig threaded = cfg;
+  threaded.threads = 2;
+  const RunResult sharded = run_stream(threaded);
+  EXPECT_EQ(sharded.records, first.records);
+  EXPECT_EQ(sharded.stream_crc, first.stream_crc);
 
-    // The policy actually changes the stream, and the stream follows the seed.
-    EXPECT_NE(first.stream_crc, kGoldenStreamCrc);
-    StudyConfig reseeded = cfg;
-    reseeded.seed = cfg.seed + 1;
-    reseeded.finalize();
-    reseeded.population.count = cfg.population.count;
-    EXPECT_NE(run_stream(reseeded).stream_crc, first.stream_crc);
-  }
+  // The policy actually changes the stream, and the stream follows the seed.
+  EXPECT_NE(first.stream_crc, kGoldenStreamCrc);
+  StudyConfig reseeded = cfg;
+  reseeded.seed = cfg.seed + 1;
+  reseeded.finalize();
+  reseeded.population.count = cfg.population.count;
+  EXPECT_NE(run_stream(reseeded).stream_crc, first.stream_crc);
 }
 
 TEST(PolicyObservability, CountersAccountForEveryDecision) {

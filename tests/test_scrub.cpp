@@ -25,7 +25,6 @@
 #include "io/file.hpp"
 #include "serve/stream_aggregates.hpp"
 #include "serve/wal_tailer.hpp"
-#include "supervise/status.hpp"
 #include "telemetry/record_log.hpp"
 #include "telemetry/scrub.hpp"
 #include "telemetry/sinks.hpp"
@@ -796,28 +795,6 @@ TEST(TailerIntegrity, CleanChainKeepsV1Checkpoint) {
   ASSERT_TRUE(is.good());
   is.seekg(8);
   EXPECT_EQ(is.get(), 1);  // no loss ever certified: byte-compatible v1
-}
-
-TEST(TailerIntegrity, FailOnDataLossThrowsTypedError) {
-  TempDir tmp{"tailer_strict"};
-  build_mirrored_wal(tmp.path + "/wal", tmp.path + "/mirror", 4);
-  auto& real = io::StdioFileSystem::instance();
-  const auto primaries = real.list(tmp.path + "/wal", "wal-");
-  io::inject_bit_rot(real, tmp.path + "/wal/" + primaries[1], 30, 0x01);
-  io::inject_bit_rot(real, tmp.path + "/mirror/" + primaries[1], 30, 0x01);
-
-  WalTailer::Options opt = tailer_options(tmp.path);
-  opt.fail_on_data_loss = true;
-  WalTailer tailer{real, opt};
-  tailer.open();
-  EXPECT_THROW(tailer.poll(), supervise::DataLossError);
-  // The taxonomy classifies it as certified loss, not a retryable fault.
-  try {
-    throw supervise::DataLossError{"x"};
-  } catch (...) {
-    EXPECT_EQ(supervise::classify_exception(std::current_exception()).code(),
-              StatusCode::kDataLoss);
-  }
 }
 
 TEST(TailerIntegrity, ScrubCadenceIsDeterministicInDeliveredDays) {

@@ -24,6 +24,7 @@
 #include "obs/metrics.hpp"
 #include "serve/stream_aggregates.hpp"
 #include "serve/wal_tailer.hpp"
+#include "supervise/retry.hpp"
 #include "telemetry/record_log.hpp"
 #include "telemetry/sinks.hpp"
 #include "util/crc32c.hpp"
@@ -933,7 +934,8 @@ TEST(WalTailerTest, PollSupervisedRetriesTransientFaults) {
   policy.backoff_initial_ms = 0;
   policy.backoff_cap_ms = 0;
   WalTailer::PollResult result;
-  const supervise::RetryReport report = tailer.poll_supervised(policy, &result);
+  const supervise::RetryReport report = supervise::run_with_retries(
+      policy, "serve poll", [&](const supervise::CancelToken&) { result = tailer.poll(); });
   EXPECT_TRUE(report.ok()) << report.status.to_string();
   EXPECT_EQ(report.retries, 1);
   EXPECT_EQ(result.state, TailState::kClean);

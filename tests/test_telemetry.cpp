@@ -128,6 +128,13 @@ TEST(CauseAggregator, BucketsAndDailyShares) {
   EXPECT_EQ(agg.totals_by_bucket()[3], 4u);
   EXPECT_EQ(agg.totals_by_bucket()[8], 1u);
   EXPECT_EQ(agg.distinct_causes(), 2u);
+  // A repeated id counts once; the largest id has its own slot.
+  CauseAggregator ids{1, 3};
+  for (const corenet::CauseId id : {corenet::CauseId{150}, corenet::CauseId{150},
+                                    corenet::CauseId{65535}}) {
+    ids.consume(make_record(0, 8.0, 1, topology::ObservedRat::kG3, false, id));
+  }
+  EXPECT_EQ(ids.distinct_causes(), 2u);
   const auto share = agg.daily_share(3);
   EXPECT_NEAR(share.min, 0.75, 1e-12);
   EXPECT_NEAR(share.max, 1.0, 1e-12);
