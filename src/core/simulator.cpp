@@ -83,20 +83,21 @@ void Simulator::calibrate_coverage() {
         locate_sector(plans_[ue.id].home, ObservedRat::kG45Nsa, ue, kProbeDay, 0,
                       probe_rng);
     for (const auto& event : trace) {
-      const topology::SiteId site = deployment_->site_index().nearest(event.position);
-      if (site == geo::SpatialIndex::kNotFound) continue;
-      const geo::PostcodeId pc = deployment_->site(site).postcode;
+      // One lookup per event: the nearest site's postcode, and both locates.
+      ran::SectorLocator::NearSites buffer;
+      const auto near = locator_->near_sites(event.position, buffer);
+      if (near.empty()) continue;
+      const geo::PostcodeId pc = deployment_->site(near.front()).postcode;
       const int bin = util::SimCalendar::half_hour_bin(event.time);
       const topology::SectorId intra_target =
-          locate_sector(event.position, ObservedRat::kG45Nsa, ue, kProbeDay, bin,
-                        probe_rng);
+          locator_->locate(near, ObservedRat::kG45Nsa, ue, kProbeDay, bin, probe_rng);
       // A drawn fallback executes wherever the coverage profile advertises
       // 3G and a target sector is locatable — even if the intra HO would
       // have been a same-sector no-op.
       const bool fallback_executable =
           coverage_->at(pc).has_rat[static_cast<std::size_t>(topology::Rat::kG3)] &&
-          locate_sector(event.position, ObservedRat::kG3, ue, kProbeDay, bin,
-                        probe_rng) != kInvalidSector;
+          locator_->locate(near, ObservedRat::kG3, ue, kProbeDay, bin, probe_rng) !=
+              kInvalidSector;
       if (fallback_executable) volume_3g[pc] += mult;
       if (intra_target == kInvalidSector) continue;
       if (intra_target != serving) {
@@ -538,8 +539,6 @@ void Simulator::simulate_ue_day(const devices::Ue& ue, const mobility::UePlan& p
     opp.ue = &ue;
     opp.serving = serving;
     opp.position = event.position;
-    opp.postcode =
-        deployment_->site(deployment_->site_index().nearest(event.position)).postcode;
     opp.time = event.time;
     opp.day = day;
     opp.bin = bin;

@@ -21,6 +21,24 @@ constexpr double kSlackKm = 1e-6;
 // nearest_k keeps up to this many candidates on the stack.
 constexpr std::size_t kInlineK = 8;
 
+// A cell whose candidate list is longer than this is split into sub-cells,
+// at most kMaxSplitSide per side. A cell's side shares its table word with
+// its first slot, in the low kSideBits bits.
+constexpr std::size_t kSplitAbove = 8;
+constexpr std::uint32_t kMaxSplitSide = 8;
+constexpr std::uint32_t kSideBits = 4;
+constexpr std::uint32_t kSideMask = (1u << kSideBits) - 1;
+static_assert(kMaxSplitSide <= kSideMask);
+
+// Squared distance from `e` to the square of side `side_km` whose low
+// corner is (x_lo, y_lo); 0 inside it.
+double square_d2(const GeoPoint& e, double x_lo, double y_lo, double side_km) noexcept {
+  // Two-operand max: it compiles to branch-free instructions.
+  const double dx = std::max(std::max(x_lo - e.x_km, e.x_km - (x_lo + side_km)), 0.0);
+  const double dy = std::max(std::max(y_lo - e.y_km, e.y_km - (y_lo + side_km)), 0.0);
+  return dx * dx + dy * dy;
+}
+
 }  // namespace
 
 /// The k best (squared distance, item) pairs offered so far, kept ascending
@@ -164,33 +182,88 @@ void SpatialIndex::build_candidates() {
   // every cell lists them all.
   const double half_diagonal = cell_km_ * std::sqrt(0.5);
   std::array<TopK::Slot, kTableK> slots;
-  candidate_start_.reserve(cell_start_.size());
-  candidate_start_.push_back(0);
+  std::vector<std::uint32_t> list;
+  cell_slots_.reserve(cell_start_.size() - 1);
+  slot_start_.push_back(0);
   for (int y = 0; y < ny_; ++y) {
     for (int x = 0; x < nx_; ++x) {
       const double x_lo = x * cell_km_;
       const double y_lo = y * cell_km_;
-      const double x_hi = x_lo + cell_km_;
-      const double y_hi = y_lo + cell_km_;
       double reach = std::numeric_limits<double>::infinity();
       if (size() > kTableK) {
         TopK top{slots};
         search_rings({x_lo + 0.5 * cell_km_, y_lo + 0.5 * cell_km_}, top);
         reach = std::sqrt(top.worst_d2()) + half_diagonal + kSlackKm;
       }
-      const int row_hi = row_of(y_hi + reach);
+      list.clear();
+      const int row_hi = row_of(y_lo + cell_km_ + reach);
       const int col_lo = column_of(x_lo - reach);
-      const int col_hi = column_of(x_hi + reach);
+      const int col_hi = column_of(x_lo + cell_km_ + reach);
       for (int row = row_of(y_lo - reach); row <= row_hi; ++row) {
         const auto [begin, end] = row_entries(row, col_lo, col_hi);
         for (std::uint32_t i = begin; i < end; ++i) {
-          const GeoPoint& e = entries_[i].point;
-          const double dx = std::max({x_lo - e.x_km, 0.0, e.x_km - x_hi});
-          const double dy = std::max({y_lo - e.y_km, 0.0, e.y_km - y_hi});
-          if (dx * dx + dy * dy <= reach * reach) candidates_.push_back(i);
+          if (square_d2(entries_[i].point, x_lo, y_lo, cell_km_) <= reach * reach) {
+            list.push_back(i);
+          }
         }
       }
-      candidate_start_.push_back(static_cast<std::uint32_t>(candidates_.size()));
+      // Split a long list into about one sub-cell per kTableK entries.
+      const auto side = list.size() <= kSplitAbove
+                            ? 1u
+                            : std::min(kMaxSplitSide,
+                                       static_cast<std::uint32_t>(std::ceil(std::sqrt(
+                                           static_cast<double>(list.size()) / kTableK))));
+      const std::size_t first_slot = slot_start_.size() - 1;
+      if (first_slot > (std::numeric_limits<std::uint32_t>::max() >> kSideBits)) {
+        throw std::length_error{"SpatialIndex: candidate table too large"};
+      }
+      cell_slots_.push_back(static_cast<std::uint32_t>(first_slot) << kSideBits | side);
+      if (side == 1) {
+        candidates_.insert(candidates_.end(), list.begin(), list.end());
+        slot_start_.push_back(static_cast<std::uint32_t>(candidates_.size()));
+      } else {
+        split_cell(x_lo, y_lo, side, list);
+      }
+    }
+  }
+}
+
+void SpatialIndex::split_cell(double x_lo, double y_lo, std::uint32_t side,
+                              std::span<const std::uint32_t> list) {
+  // The same bound one level down. Every sub-cell centre lies in the cell,
+  // so the cell's list holds the centre's kTableK nearest and gives
+  // d(centre). For q in the sub-cell, d(q) <= d(centre) + the sub-cell's
+  // half-diagonal, so the part of the list within that reach of the
+  // sub-cell's rectangle holds q's kTableK nearest.
+  const double sub_km = cell_km_ / side;
+  const double half_diagonal = sub_km * std::sqrt(0.5);
+  std::vector<GeoPoint> points;
+  points.reserve(list.size());
+  for (const std::uint32_t i : list) points.push_back(entries_[i].point);
+  for (std::uint32_t sy = 0; sy < side; ++sy) {
+    for (std::uint32_t sx = 0; sx < side; ++sx) {
+      const double sx_lo = x_lo + sx * sub_km;
+      const double sy_lo = y_lo + sy * sub_km;
+      const GeoPoint centre{sx_lo + 0.5 * sub_km, sy_lo + 0.5 * sub_km};
+      // d(centre)^2: the kTableK-th smallest squared distance (ties do not
+      // matter for its value), kept ascending in `best`.
+      std::array<double, kTableK> best;
+      best.fill(std::numeric_limits<double>::infinity());
+      for (const GeoPoint& e : points) {
+        double d2 = tl::util::squared_distance_km2(e, centre);
+        for (double& b : best) {
+          const double lower = std::min(b, d2);
+          d2 = std::max(b, d2);
+          b = lower;
+        }
+      }
+      const double reach = std::sqrt(best.back()) + half_diagonal + kSlackKm;
+      for (std::size_t j = 0; j < points.size(); ++j) {
+        if (square_d2(points[j], sx_lo, sy_lo, sub_km) <= reach * reach) {
+          candidates_.push_back(list[j]);
+        }
+      }
+      slot_start_.push_back(static_cast<std::uint32_t>(candidates_.size()));
     }
   }
 }
@@ -224,9 +297,21 @@ std::size_t SpatialIndex::nearest_k(const GeoPoint& p, std::span<std::uint32_t> 
   const double fx = std::floor(p.x_km / cell_km_);
   const double fy = std::floor(p.y_km / cell_km_);
   if (k <= kTableK && fx >= 0.0 && fx < nx_ && fy >= 0.0 && fy < ny_) {
-    const std::size_t c = static_cast<std::size_t>(fy) * static_cast<std::size_t>(nx_) +
-                          static_cast<std::size_t>(fx);
-    for (std::uint32_t i = candidate_start_[c]; i < candidate_start_[c + 1]; ++i) {
+    const std::uint32_t cell = cell_slots_[static_cast<std::size_t>(fy) *
+                                               static_cast<std::size_t>(nx_) +
+                                           static_cast<std::size_t>(fx)];
+    std::size_t slot = cell >> kSideBits;
+    const std::uint32_t side = cell & kSideMask;
+    if (side > 1) {
+      // The sub-cell holding p, clamped so rounding keeps it in the cell.
+      const double sub_km = cell_km_ / side;
+      const auto sub = [&](double offset_km) {
+        return std::min(static_cast<std::uint32_t>(std::max(offset_km / sub_km, 0.0)),
+                        side - 1);
+      };
+      slot += sub(p.y_km - fy * cell_km_) * side + sub(p.x_km - fx * cell_km_);
+    }
+    for (std::uint32_t i = slot_start_[slot]; i < slot_start_[slot + 1]; ++i) {
       const Entry& e = entries_[candidates_[i]];
       top.offer(tl::util::squared_distance_km2(e.point, p), e.item);
     }

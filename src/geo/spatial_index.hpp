@@ -6,9 +6,11 @@
 // queries. The index is immutable: it is built once from every point, with
 // the points bucketed by grid cell and, per cell, the short list of points
 // that can be among the 3 (kTableK) nearest of any position in that cell. A
-// query for up to 3 nearest inside the grid scans one list; any other
-// query walks square rings of cells until no unsearched cell can hold a
-// closer point. Both are exact, and neither allocates for k up to 8.
+// cell whose list is long is split into sub-cells, each listing the part of
+// its cell's list that can serve it. A query for up to 3 nearest inside the
+// grid scans one list; any other query walks square rings of cells until no
+// unsearched cell can hold a closer point. Both are exact, and neither
+// allocates for k up to 8.
 
 #include <cstdint>
 #include <span>
@@ -67,8 +69,13 @@ class SpatialIndex {
   /// Exact k-nearest search: walks square rings of cells around `p`'s cell
   /// until no unsearched cell can hold a better entry than the k-th best.
   void search_rings(const tl::util::GeoPoint& p, TopK& top) const;
-  /// Fills the per-cell candidate lists (construction only).
+  /// Fills the candidate table (construction only).
   void build_candidates();
+  /// Appends the lists of the side x side sub-cells of the cell whose low
+  /// corner is (x_lo, y_lo), each the part of that cell's `list` that can
+  /// serve it (construction only).
+  void split_cell(double x_lo, double y_lo, std::uint32_t side,
+                  std::span<const std::uint32_t> list);
 
   double cell_km_;
   int nx_;
@@ -77,10 +84,14 @@ class SpatialIndex {
   /// entries_[cell_start_[c], cell_start_[c + 1]).
   std::vector<std::uint32_t> cell_start_;
   std::vector<Entry> entries_;
-  /// Per cell, the indices into entries_ of every entry that can be among
-  /// the kTableK nearest of a position in the cell: cell c's list is
-  /// candidates_[candidate_start_[c], candidate_start_[c + 1]).
-  std::vector<std::uint32_t> candidate_start_;
+  /// The candidate table. Cell c is split into side x side sub-cells
+  /// (side 1: not split), side = cell_slots_[c] & kSideMask, whose lists
+  /// are the slots from cell_slots_[c] >> kSideBits on, row-major. A slot
+  /// lists the indices into entries_ of every entry that can be among the
+  /// kTableK nearest of a position in its cell or sub-cell: slot s's list is
+  /// candidates_[slot_start_[s], slot_start_[s + 1]).
+  std::vector<std::uint32_t> cell_slots_;
+  std::vector<std::uint32_t> slot_start_;
   std::vector<std::uint32_t> candidates_;
 };
 

@@ -1,20 +1,34 @@
 #include "policy/policies.hpp"
 
+#include <span>
 #include <stdexcept>
 
 namespace tl::policy {
 
 using topology::kInvalidSector;
 
+namespace {
+
+/// The selector's coverage key: the postcode of the nearest site. With no
+/// sites at all, site() throws.
+geo::PostcodeId nearest_postcode(const PolicyEnv& env, std::span<const topology::SiteId> near) {
+  return env.deployment->site(near.empty() ? geo::SpatialIndex::kNotFound : near.front())
+      .postcode;
+}
+
+}  // namespace
+
 HoDecision CalibratedBaselinePolicy::decide(const PolicyEnv& env, const HoOpportunity& opp,
                                             UeDayState& state, util::Rng& rng) const {
   obs_decisions_.inc();
   // The legacy sequence, draw for draw: one uniform in the selector, then
   // pick_sector draws per candidate site inside locate().
+  ran::SectorLocator::NearSites buffer;
+  const auto near = env.locator->near_sites(opp.position, buffer);
   const ran::TargetDecision td =
-      env.selector->decide(*opp.ue, opp.postcode, opp.voice_active, rng);
+      env.selector->decide(*opp.ue, nearest_postcode(env, near), opp.voice_active, rng);
   const topology::SectorId target =
-      env.locator->locate(opp.position, td.target_rat, *opp.ue, opp.day, opp.bin, rng);
+      env.locator->locate(near, td.target_rat, *opp.ue, opp.day, opp.bin, rng);
 
   HoDecision d;
   d.target_rat = td.target_rat;
@@ -35,10 +49,12 @@ HoDecision LoadBalancingPolicy::decide(const PolicyEnv& env, const HoOpportunity
   // The calibrated decision sequence, draw for draw — the HO opportunity
   // stream is the baseline's (common random numbers), only the target of an
   // overload-bound handover changes.
+  ran::SectorLocator::NearSites buffer;
+  const auto near = env.locator->near_sites(opp.position, buffer);
   const ran::TargetDecision td =
-      env.selector->decide(*opp.ue, opp.postcode, opp.voice_active, rng);
+      env.selector->decide(*opp.ue, nearest_postcode(env, near), opp.voice_active, rng);
   topology::SectorId target =
-      env.locator->locate(opp.position, td.target_rat, *opp.ue, opp.day, opp.bin, rng);
+      env.locator->locate(near, td.target_rat, *opp.ue, opp.day, opp.bin, rng);
 
   HoDecision d;
   d.target_rat = td.target_rat;
@@ -55,8 +71,7 @@ HoDecision LoadBalancingPolicy::decide(const PolicyEnv& env, const HoOpportunity
       env.load->utilization(env.deployment->sector(target), opp.day, opp.bin);
   if (target_util > kOverloadGuard) {
     auto& cand = state.scratch_sectors;
-    env.locator->candidates(opp.position, td.target_rat, *opp.ue, opp.day, opp.bin,
-                            kCandidateSites, cand);
+    env.locator->candidates(near, td.target_rat, *opp.ue, opp.day, opp.bin, cand);
     topology::SectorId best = kInvalidSector;
     double best_util = target_util;
     for (const topology::SectorId sid : cand) {

@@ -33,8 +33,11 @@ class LoadBalancingPolicy final : public HandoverPolicy {
   /// model's overload ramp starts at 0.92; guarding below it re-targets
   /// before rejections begin.
   static constexpr double kOverloadGuard = 0.85;
-  /// Nearest sites enumerated for the alternative-candidate set.
+  /// Nearest sites enumerated for the alternative-candidate set: the
+  /// decision's one lookup, which locate() walks too.
   static constexpr std::size_t kCandidateSites = 3;
+  static_assert(kCandidateSites == ran::SectorLocator::kNearSites,
+                "candidates() walks the list the decision looked up for locate()");
 
   const char* name() const noexcept override { return "load-balancing"; }
   HoDecision decide(const PolicyEnv& env, const HoOpportunity& opp, UeDayState& state,

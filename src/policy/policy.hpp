@@ -52,12 +52,17 @@ struct PolicyEnv {
   std::int64_t ping_pong_window_ms = 5'000;
 };
 
-/// One handover opportunity.
+/// One handover opportunity. It carries the event's position, not its
+/// nearest sites: decide() looks the position up once and serves the
+/// selector's postcode key, locate() and candidates() from that one list.
 struct HoOpportunity {
   const devices::Ue* ue = nullptr;
   topology::SectorId serving = topology::kInvalidSector;
   util::GeoPoint position{};
-  /// Postcode of the site nearest the event (the selector's coverage key).
+  /// Postcode of the site nearest the event. No policy reads it (decide()
+  /// takes it from its own lookup) and the simulator leaves it 0; only
+  /// perfbench's sampled replay still writes it, and it goes with that
+  /// replay.
   geo::PostcodeId postcode = 0;
   util::TimestampMs time = 0;
   int day = 0;

@@ -1,18 +1,17 @@
 #include "ran/sector_locator.hpp"
 
-#include <array>
-#include <span>
-
 namespace tl::ran {
 
-topology::SectorId SectorLocator::locate(const util::GeoPoint& position,
+std::span<const topology::SiteId> SectorLocator::near_sites(const util::GeoPoint& position,
+                                                            NearSites& buffer) const {
+  return std::span{buffer}.first(deployment_.site_index().nearest_k(position, buffer));
+}
+
+topology::SectorId SectorLocator::locate(std::span<const topology::SiteId> near,
                                          topology::ObservedRat rat_class,
                                          const devices::Ue& ue, int day, int bin,
                                          util::Rng& rng) const {
-  // Try the nearest few sites; a site may lack the requested layer.
-  std::array<topology::SiteId, 3> near;
-  const std::size_t n_near = deployment_.site_index().nearest_k(position, near);
-  for (const topology::SiteId site : std::span{near}.first(n_near)) {
+  for (const topology::SiteId site : near) {
     const auto sector = selector_.pick_sector(site, rat_class, ue, rng);
     if (!sector) continue;
     const auto& s = deployment_.sector(*sector);
@@ -35,12 +34,19 @@ topology::SectorId SectorLocator::locate(const util::GeoPoint& position,
   return topology::kInvalidSector;
 }
 
-void SectorLocator::candidates(const util::GeoPoint& position,
+topology::SectorId SectorLocator::locate(const util::GeoPoint& position,
+                                         topology::ObservedRat rat_class,
+                                         const devices::Ue& ue, int day, int bin,
+                                         util::Rng& rng) const {
+  NearSites buffer;
+  return locate(near_sites(position, buffer), rat_class, ue, day, bin, rng);
+}
+
+void SectorLocator::candidates(std::span<const topology::SiteId> near,
                                topology::ObservedRat rat_class, const devices::Ue& ue,
-                               int day, int bin, std::size_t max_sites,
+                               int day, int bin,
                                std::vector<topology::SectorId>& out) const {
   out.clear();
-  const auto near = deployment_.site_index().nearest_k(position, max_sites);
   for (const topology::SiteId site : near) {
     for (const topology::SectorId sid : deployment_.site(site).sectors) {
       const auto& s = deployment_.sector(sid);

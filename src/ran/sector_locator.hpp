@@ -5,9 +5,15 @@
 // Extracted from the simulator's hot loop so the handover policy engine
 // (src/policy) shares the exact lookup the calibrated pipeline uses: the
 // baseline policy replays locate() verbatim (same RNG draws, same energy /
-// fault semantics), while measurement-driven policies enumerate candidates()
-// — a deterministic, draw-free view of the same neighborhood.
+// fault semantics), while the load-balancing policy enumerates candidates()
+// — a deterministic, draw-free view of the same neighborhood. Both walk a
+// list of the kNearSites sites nearest the event, so a caller that has
+// already looked the position up (a policy's decide(), coverage
+// calibration) hands its list over instead of paying for a second lookup.
 
+#include <array>
+#include <cstddef>
+#include <span>
 #include <vector>
 
 #include "devices/population.hpp"
@@ -32,25 +38,41 @@ class SectorLocator {
     faults_ = schedule;
   }
 
-  /// Serving/target sector on the site nearest `position` for the UE's RAT
-  /// class, honoring the energy-saving schedule. kInvalidSector if none.
+  /// How many of the nearest sites locate() tries: a site may lack the
+  /// requested layer, or have it switched off.
+  static constexpr std::size_t kNearSites = 3;
+  using NearSites = std::array<topology::SiteId, kNearSites>;
+
+  /// An event's one site lookup: the (at most kNearSites) sites nearest
+  /// `position`, nearest first, written to `buffer`.
+  std::span<const topology::SiteId> near_sites(const util::GeoPoint& position,
+                                               NearSites& buffer) const;
+
+  /// Serving/target sector for the UE's RAT class on the first of `near`
+  /// (near_sites() of the event's position) that can serve it, honoring the
+  /// energy-saving schedule; kInvalidSector if none.
   ///
   /// Moved verbatim from Simulator::locate_sector: the byte-identity of the
   /// calibrated record stream depends on this call's RNG-draw sequence
   /// (TargetSelector::pick_sector per candidate site) staying fixed.
+  topology::SectorId locate(std::span<const topology::SiteId> near,
+                            topology::ObservedRat rat_class, const devices::Ue& ue, int day,
+                            int bin, util::Rng& rng) const;
+
+  /// locate() over near_sites(position).
   topology::SectorId locate(const util::GeoPoint& position, topology::ObservedRat rat_class,
                             const devices::Ue& ue, int day, int bin, util::Rng& rng) const;
 
-  /// Deterministic candidate enumeration for measurement-driven policies:
-  /// every sector of `rat_class` the UE supports on the `max_sites` nearest
-  /// sites that could execute a handover right now — active, or a sleeping
-  /// booster that would wake for the HO; faulted sectors are excluded, like
-  /// locate()'s outage veto. Consumes no RNG draws, and the order (site
-  /// proximity, then site-local sector order) is stable, so policies that
-  /// rank candidates stay seed-deterministic. Appends to `out` (cleared
-  /// first).
-  void candidates(const util::GeoPoint& position, topology::ObservedRat rat_class,
-                  const devices::Ue& ue, int day, int bin, std::size_t max_sites,
+  /// Deterministic candidate enumeration for the load-balancing policy:
+  /// every sector of `rat_class` the UE supports on the sites of `near`
+  /// (as for locate()) that could execute a handover right now — active, or
+  /// a sleeping booster that would wake for the HO; faulted sectors are
+  /// excluded, like locate()'s outage veto. Consumes no RNG draws, and the
+  /// order (site proximity, then site-local sector order) is stable, so
+  /// policies that rank candidates stay seed-deterministic. Appends to
+  /// `out` (cleared first).
+  void candidates(std::span<const topology::SiteId> near, topology::ObservedRat rat_class,
+                  const devices::Ue& ue, int day, int bin,
                   std::vector<topology::SectorId>& out) const;
 
  private:

@@ -37,10 +37,19 @@ constexpr std::uint8_t kVersion = 2;
 // same admitted substream.
 constexpr std::uint64_t kSampleSalt = 0x5a3d1e5ab0a5e5ULL;
 
+// A tally on the wire: handovers, failures.
+constexpr std::size_t kTallyBytes = 8 + 8;
+
+void store_tally(std::uint8_t* p, const StreamAggregates::Tally& t) noexcept {
+  util::store_u64(p, t.handovers);
+  util::store_u64(p + 8, t.failures);
+}
+
 void put_tally(std::vector<std::uint8_t>& out,
                const StreamAggregates::Tally& t) {
-  put_u64(out, t.handovers);
-  put_u64(out, t.failures);
+  const std::size_t at = out.size();
+  out.resize(at + kTallyBytes);
+  store_tally(&out[at], t);
 }
 
 StreamAggregates::Tally read_tally(util::ByteReader& r) {
@@ -51,23 +60,32 @@ StreamAggregates::Tally read_tally(util::ByteReader& r) {
   return t;
 }
 
+// A tally map entry on the wire: key, tally.
+constexpr std::size_t kTallyEntryBytes = 4 + kTallyBytes;
+
 /// Writes the entries in ascending key order: the bytes are a function of
-/// the contents, not of the hash map's iteration order.
+/// the contents, not of the hash map's iteration order. Sorts pointers to
+/// the entries rather than copies, and stores each entry in place.
 void put_tally_map(std::vector<std::uint8_t>& out, const StreamAggregates::TallyMap& m) {
-  std::vector<std::pair<std::uint32_t, StreamAggregates::Tally>> entries(m.begin(), m.end());
+  std::vector<const StreamAggregates::TallyMap::value_type*> entries;
+  entries.reserve(m.size());
+  for (const auto& entry : m) entries.push_back(&entry);
   std::sort(entries.begin(), entries.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+            [](const auto* a, const auto* b) { return a->first < b->first; });
   put_u64(out, entries.size());
-  for (const auto& [key, tally] : entries) {
-    put_u32(out, key);
-    put_tally(out, tally);
+  std::size_t at = out.size();
+  out.resize(at + kTallyEntryBytes * entries.size());
+  for (const auto* entry : entries) {
+    util::store_u32(&out[at], entry->first);
+    store_tally(&out[at + 4], entry->second);
+    at += kTallyEntryBytes;
   }
 }
 
 StreamAggregates::TallyMap read_tally_map(util::ByteReader& r) {
   const std::uint64_t size = r.u64();
-  // 20 bytes per entry: a size beyond the remaining bytes is garbage.
-  if (size > (r.bytes.size() - r.pos) / 20) corrupt("map size");
+  // A size beyond the remaining bytes is garbage.
+  if (size > (r.bytes.size() - r.pos) / kTallyEntryBytes) corrupt("map size");
   StreamAggregates::TallyMap m;
   m.reserve(size);
   std::int64_t previous = -1;

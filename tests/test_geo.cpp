@@ -155,6 +155,9 @@ struct Layout {
   double cell_km = 0.0;
   std::vector<util::GeoPoint> points;
   std::vector<util::GeoPoint> queries;
+  /// Every this many queries also asks for more items than the index holds
+  /// (the oracle then sorts them all, and the index ranks them all).
+  std::size_t all_items_every = 16;
 };
 
 SpatialIndex build_index(const Layout& l) {
@@ -231,10 +234,11 @@ Layout deployment_layout(const core::StudyConfig& cfg, std::size_t stride) {
 }
 
 /// study_serial's world in the repository benchmark: scale 0.02 on the
-/// 320-district bench census.
-core::StudyConfig bench_world_config() {
+/// 320-district bench census. At `scale` 0.1 it is study_wal's world, where
+/// crowded cells split.
+core::StudyConfig bench_world_config(double scale = 0.02) {
   core::StudyConfig cfg;
-  cfg.scale = 0.02;
+  cfg.scale = scale;
   cfg.days = 2;
   cfg.census.districts = 320;
   cfg.census.total_population = 47'000'000;
@@ -281,6 +285,57 @@ Layout edges_layout() {
   for (const util::GeoPoint corner : {util::GeoPoint{0.0, 0.0}, util::GeoPoint{100.0, 0.0},
                                       util::GeoPoint{0.0, 70.0}, util::GeoPoint{100.0, 70.0}}) {
     l.queries.push_back(corner);
+  }
+  return l;
+}
+
+/// A dense cluster inside one 6 km cell, whose candidate list is long
+/// enough to split into 8 x 8 sub-cells of 0.75 km: sites on a lattice of
+/// sub-cell corners, on sub-cell edges and at random, and equidistant pairs
+/// straddling a sub-cell edge; queried on sub-cell edges, corners and
+/// centres and on the straddled edges, where the pairs tie.
+Layout split_cells_layout() {
+  util::Rng rng{31};
+  Layout l{60.0, 48.0, 6.0, {}, {}};
+  const double x0 = 24.0;
+  const double y0 = 18.0;
+  const double sub = 0.75;
+  for (int j = 0; j <= 8; ++j) {
+    for (int i = 0; i <= 8; ++i) l.points.push_back({x0 + sub * i, y0 + sub * j});
+  }
+  for (int i = 0; i < 60; ++i) {
+    const double edge = sub * static_cast<double>(rng.below(9));
+    l.points.push_back({x0 + edge, rng.uniform(y0, y0 + 6.0)});
+    l.points.push_back({rng.uniform(x0, x0 + 6.0), y0 + edge});
+    l.points.push_back(uniform_point(rng, x0, x0 + 6.0, y0, y0 + 6.0));
+  }
+  std::vector<std::pair<double, double>> straddled;  // (edge x, y) of each pair
+  for (int i = 0; i < 30; ++i) {
+    const double edge = x0 + sub * static_cast<double>(1 + rng.below(7));
+    const double half_gap = rng.uniform(0.01, 0.7);
+    const double y = rng.uniform(y0, y0 + 6.0);
+    l.points.push_back({edge - half_gap, y});
+    l.points.push_back({edge + half_gap, y});
+    straddled.emplace_back(edge, y);
+  }
+  for (int i = 0; i < 40; ++i) l.points.push_back(uniform_point(rng, 0.0, 60.0, 0.0, 48.0));
+
+  for (int j = 0; j <= 16; ++j) {
+    for (int i = 0; i <= 16; ++i) {
+      l.queries.push_back({x0 + 0.5 * sub * i, y0 + 0.5 * sub * j});
+    }
+  }
+  for (int i = 0; i <= 8; ++i) {
+    for (int n = 0; n < 10; ++n) {
+      l.queries.push_back({x0 + sub * i, rng.uniform(y0 - 1.0, y0 + 7.0)});
+      l.queries.push_back({rng.uniform(x0 - 1.0, x0 + 7.0), y0 + sub * i});
+    }
+  }
+  for (const auto& [edge, y] : straddled) {
+    for (const double dy : {0.0, 0.1, -0.3, 0.75, 1.5}) l.queries.push_back({edge, y + dy});
+  }
+  for (int i = 0; i < 500; ++i) {
+    l.queries.push_back(uniform_point(rng, x0 - 6.0, x0 + 12.0, y0 - 6.0, y0 + 12.0));
   }
   return l;
 }
@@ -335,6 +390,11 @@ const Layout& layout(const std::string& name) {
   if (name == "clustered") l = clustered_layout();
   else if (name == "test_scale_traces") l = deployment_layout(core::StudyConfig::test_scale(), 8);
   else if (name == "bench_world_traces") l = deployment_layout(bench_world_config(), 16);
+  else if (name == "wal_world_traces") {
+    l = deployment_layout(bench_world_config(0.1), 16);
+    l.all_items_every = 256;  // 2,400 sites: each such query ranks them all
+  }
+  else if (name == "split_cells") l = split_cells_layout();
   else if (name == "ties") l = ties_layout();
   else if (name == "edges_and_corners") l = edges_layout();
   else if (name == "outside_grid") l = outside_layout();
@@ -384,7 +444,7 @@ TEST_P(SpatialIndexProperty, NearestKIsSortedAndComplete) {
     }
     // More than the index holds: every item, in order (on a sample of the
     // queries, since the oracle sorts them all).
-    if (i % 16 == 0) {
+    if (i % l.all_items_every == 0) {
       check(q, l.points.size() + 1, brute_force(l.points, q, l.points.size()));
     }
   }
@@ -396,7 +456,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SpatialIndexProperty,
 INSTANTIATE_TEST_SUITE_P(Layouts, SpatialIndexProperty,
                          ::testing::Values(LayoutName{"clustered"},
                                            LayoutName{"test_scale_traces"},
-                                           LayoutName{"bench_world_traces"}, LayoutName{"ties"},
+                                           LayoutName{"bench_world_traces"},
+                                           LayoutName{"wal_world_traces"},
+                                           LayoutName{"split_cells"}, LayoutName{"ties"},
                                            LayoutName{"edges_and_corners"},
                                            LayoutName{"outside_grid"},
                                            LayoutName{"fewer_than_k"}, LayoutName{"empty"}));

@@ -1,9 +1,14 @@
-// Propagation, measurement events, load, coverage, and target selection.
+// Propagation, measurement events, load, coverage, target selection, and
+// sector location.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
+#include <vector>
 
+#include "core/simulator.hpp"
+#include "faults/scenarios.hpp"
 #include "geo/census.hpp"
 #include "ran/coverage.hpp"
 #include "ran/load.hpp"
@@ -259,6 +264,68 @@ TEST(TargetSelector, VoiceFallbackIsMarkedSrvcc) {
     }
   }
   FAIL() << "voice fallback never drawn";
+}
+
+// locate() over a caller's nearest-site list is locate() at the position
+// minus its own lookup: on test-scale trace positions, for every RAT class,
+// it returns the same sector and leaves the draw stream in the same state,
+// with a sector outage installed so the fault veto is walked too.
+TEST(SectorLocator, NearSitesOverloadMatchesPositionOverload) {
+  core::Simulator sim{core::StudyConfig::test_scale()};
+  const SectorLocator& locator = sim.locator();
+  const geo::SpatialIndex& index = sim.deployment().site_index();
+  struct Event {
+    const devices::Ue* ue;
+    util::GeoPoint position;
+    int bin;
+  };
+  std::vector<Event> events;
+  const auto ues = sim.population().ues();
+  for (std::size_t i = 0; i < ues.size(); i += 4) {
+    const mobility::UePlan plan = sim.traces().plan_for(ues[i]);
+    for (const auto& e : sim.traces().generate(ues[i], plan, 0)) {
+      events.push_back({&ues[i], e.position, util::SimCalendar::half_hour_bin(e.time)});
+    }
+  }
+  ASSERT_GT(events.size(), 1'000u);
+
+  // The outage takes down the sector these positions are most often served
+  // by, for all of day 0.
+  std::vector<std::size_t> served(sim.deployment().sectors().size(), 0);
+  util::Rng probe{3};
+  for (const Event& e : events) {
+    const topology::SectorId s = locator.locate(e.position, topology::ObservedRat::kG45Nsa,
+                                                *e.ue, 0, e.bin, probe);
+    if (s != topology::kInvalidSector) ++served[s];
+  }
+  const auto victim = static_cast<topology::SectorId>(
+      std::max_element(served.begin(), served.end()) - served.begin());
+  faults::FaultSchedule schedule;
+  schedule.add(faults::sector_outage(victim, faults::at_hour(0, 0.0), faults::at_hour(1, 0.0)));
+  sim.set_fault_schedule(&schedule);
+
+  util::Rng rng{7};
+  std::size_t victim_nearest = 0;
+  for (const Event& e : events) {
+    SectorLocator::NearSites buffer;
+    const auto near = std::span{buffer}.first(index.nearest_k(e.position, buffer));
+    if (!near.empty() && near.front() == sim.deployment().sector(victim).site) {
+      ++victim_nearest;
+    }
+    for (const auto rat : {topology::ObservedRat::kG45Nsa, topology::ObservedRat::kG3,
+                           topology::ObservedRat::kG2}) {
+      util::Rng at_position = rng;
+      util::Rng over_list = rng;
+      const topology::SectorId want =
+          locator.locate(e.position, rat, *e.ue, 0, e.bin, at_position);
+      const topology::SectorId got = locator.locate(near, rat, *e.ue, 0, e.bin, over_list);
+      ASSERT_EQ(got, want) << "at (" << e.position.x_km << ", " << e.position.y_km << ")";
+      ASSERT_EQ(over_list(), at_position()) << "the overloads drew differently";
+      EXPECT_NE(want, victim);
+      rng = over_list;
+    }
+  }
+  EXPECT_GT(victim_nearest, 0u) << "no position reached the outage";
 }
 
 }  // namespace
