@@ -45,9 +45,13 @@
 // Each arm also carries shards_per_day: the serial path books one
 // whole-population span per day into the shard-sim family while sharded
 // arms book one per shard, so span counts are only comparable through that
-// label. True process CPU per run (cpu_ms, from std::clock) sits next to
-// wall_ms — on an oversubscribed machine concurrent wall spans double-count
-// descheduled time, and cpu_ms is what exposes real work inflation.
+// label. staged_peak_mb is the arm's peak of the shard staging accounts
+// (exec_record_buffers + exec_metrics_buffers), from an accounting-only
+// governor (budget 0, so pressure stays Steady and the backpressure window
+// keeps its auto size). True process CPU per run (cpu_ms, from std::clock)
+// sits next to wall_ms — on an oversubscribed machine concurrent wall spans
+// double-count descheduled time, and cpu_ms is what exposes real work
+// inflation.
 //
 // Scaling gates (both the plain sweep and --profile; TL_BENCH_SCALING_GATE=0
 // disables): arms the hardware can actually run in parallel
@@ -74,6 +78,7 @@
 #include "bench_world.hpp"
 #include "core/simulator.hpp"
 #include "exec/thread_pool.hpp"
+#include "govern/governor.hpp"
 #include "io/file.hpp"
 #include "obs/metrics.hpp"
 #include "obs/study_monitor.hpp"
@@ -256,12 +261,14 @@ struct ProfileMeasurement {
   StageSeconds shard_sim;
   StageSeconds shard_merge;  ///< ordered shard merge (0 on the serial path)
   StageSeconds wal_commit;   ///< WAL day commits (fsync + marker)
+  double staged_peak_mb = 0.0;  ///< shard staging high-water mark
 };
 
 ProfileMeasurement profile_run(tl::core::Simulator& sim, unsigned threads,
                                int days, std::uint64_t seed,
                                std::uint64_t population,
-                               const std::filesystem::path& wal_dir) {
+                               const std::filesystem::path& wal_dir,
+                               tl::govern::MemoryBudget& staging) {
   using namespace tl;
   // A fresh registry per measurement: the stage sums cover exactly this run.
   // Installing it bumps the obs epoch, so the engine re-resolves its handles
@@ -280,6 +287,12 @@ ProfileMeasurement profile_run(tl::core::Simulator& sim, unsigned threads,
   ProfileMeasurement m;
   m.run = timed_run(sim, threads, days, seed, population);
   sim.remove_sink(&durable);
+  // At Steady the staging slots only grow during the run and keep their
+  // capacity after it, so what they hold now is the arm's peak (0 at 1
+  // thread: the serial path stages nothing).
+  const std::uint64_t staged = staging.accountant("exec_record_buffers").bytes() +
+                               staging.accountant("exec_metrics_buffers").bytes();
+  m.staged_peak_mb = static_cast<double>(staged) / (1024.0 * 1024.0);
 
   const obs::MetricsSnapshot snap = registry.scrape();
   const auto stage = [&snap](const char* name) {
@@ -331,8 +344,8 @@ int main(int argc, char** argv) {
   // Fixed mid-size config: big enough that the per-UE-day work dominates
   // the merge AND the per-day fixed costs (pool spin-up, shard dispatch) —
   // 20k UEs x 2 days left those fixed costs visible in the 2-thread arm.
-  // Three days also means days 2..N run on the warm reused shard slab, the
-  // steady state a four-week study actually lives in.
+  // Three days also means days 2..N run on the warm reused staging slots,
+  // the steady state a four-week study actually lives in.
   core::StudyConfig cfg = bench::bench_config();
   cfg.days = static_cast<int>(bench::env_double("TL_BENCH_DAYS", smoke ? 1 : 3));
   cfg.finalize();
@@ -349,6 +362,9 @@ int main(int argc, char** argv) {
   std::cerr << "[bench_throughput] world: scale=" << cfg.scale
             << " ues=" << cfg.population.count << " days=" << cfg.days
             << " seed=" << cfg.seed << " hw_threads=" << hw << "\n";
+  // --profile's staging accounting. Declared before the simulator so it
+  // outlives the staging slots that book into it.
+  govern::MemoryBudget staging;  // budget 0: accounting only, always Steady
   core::Simulator sim{cfg};
 
   if (obs_mode) {
@@ -533,15 +549,17 @@ int main(int argc, char** argv) {
   if (profile) {
     const std::filesystem::path wal_dir =
         std::filesystem::temp_directory_path() / "tl_bench_profile_wal";
+    govern::ScopedGlobalGovernor install{&staging};
     std::vector<ProfileMeasurement> profs;
     for (const unsigned threads : sweep) {
       const ProfileMeasurement p = profile_run(sim, threads, cfg.days, cfg.seed,
-                                               cfg.population.count, wal_dir);
+                                               cfg.population.count, wal_dir, staging);
       std::cerr << "[bench_throughput] threads=" << threads
                 << " wall_ms=" << p.run.wall_ms << " cpu_ms=" << p.run.cpu_ms
                 << " shard_sim_s=" << p.shard_sim.seconds
                 << " shard_merge_s=" << p.shard_merge.seconds
-                << " wal_commit_s=" << p.wal_commit.seconds << " crc=" << std::hex
+                << " wal_commit_s=" << p.wal_commit.seconds
+                << " staged_peak_mb=" << p.staged_peak_mb << " crc=" << std::hex
                 << p.run.checksum << std::dec << "\n";
       profs.push_back(p);
     }
@@ -598,6 +616,7 @@ int main(int argc, char** argv) {
            << static_cast<std::uint64_t>(p.run.ue_days_per_sec)
            << ", \"speedup_vs_serial\": " << speedup
            << ", \"cpu_inflation_vs_serial\": " << inflation
+           << ", \"staged_peak_mb\": " << p.staged_peak_mb
            << ", \"stages\": {"
            << "\"shard_sim_s\": " << p.shard_sim.seconds
            << ", \"shard_sim_spans\": " << p.shard_sim.spans

@@ -280,22 +280,23 @@ void Simulator::run_day(int day) {
   }
 }
 
-// One private world-view per shard: procedures book into the shard's own
-// CoreNetwork and records/metrics land in shard buffers, so workers share
-// nothing mutable. The slab persists across days — the fix for the
-// parallel-path slowdown was to stop rebuilding it (fresh CoreNetwork +
-// empty buffers, re-paying allocation growth and governor syncs) every day.
+// One private world-view per staging slot: procedures book into the slot's
+// own CoreNetwork and records/metrics land in slot buffers, so workers share
+// nothing mutable. A day's shards take the slots in turn (shard s uses slot
+// s % slots.size(), exclusive by the runner's gate), so staging is one slot
+// per window position at any population. The slots persist across days —
+// the fix for the parallel-path slowdown was to stop rebuilding staging
+// (fresh CoreNetwork + empty buffers, re-paying allocation growth and
+// governor syncs) every day. A warm slot's buffers keep the capacity of the
+// largest shard they staged, so only a day's first wave after a rebuild (a
+// thread-count change, or reuse disabled) grows push by push.
 struct Simulator::DayShards {
-  struct Shard {
+  struct Slot {
     corenet::CoreNetwork core;
     exec::RecordBuffer records;
     exec::MetricsBuffer metrics;
-    /// Previous day's emission counts: the reserve() hints that let a cold
-    /// (or geometry-rebuilt) shard pre-size instead of growing push by push.
-    std::size_t record_hint = 0;
-    std::size_t metrics_hint = 0;
   };
-  std::vector<Shard> shards;
+  std::vector<Slot> slots;
 };
 
 void Simulator::simulate_day(int day) {
@@ -304,8 +305,8 @@ void Simulator::simulate_day(int day) {
   const unsigned threads = exec::ThreadPool::resolve_threads(config_.threads);
   if (ues.size() <= 1 || (supervisor_ == nullptr && threads <= 1)) {
     // Serial: the same loop run inline, aimed straight at the live sinks
-    // and core_. Staging would hold the whole day's records for nothing to
-    // merge. Booking the span into the shard-sim family keeps the stage
+    // and core_. Staging would copy every record through a slot for nothing
+    // to merge. Booking the span into the shard-sim family keeps the stage
     // breakdown comparable across thread counts (1 thread = 1 span per day).
     obs::ScopedTimer sim_span{obs_serial_sim_seconds_};
     EmitFrame out;
@@ -326,37 +327,36 @@ void Simulator::simulate_day(int day) {
       runner_obs_epoch_ != obs::global_epoch()) {
     exec::ShardedDayRunner::Options opt;
     opt.threads = threads;
-    opt.min_items_per_shard = kMinUesPerShard;
+    opt.items_per_shard = kMinUesPerShard;
     runner_ = std::make_unique<exec::ShardedDayRunner>(opt);
     runner_obs_epoch_ = obs::global_epoch();
   }
-  const std::size_t shard_count = runner_->shard_count(ues.size());
+  const std::size_t slot_count = runner_->slot_count(ues.size());
   if (day_shards_ == nullptr) day_shards_ = std::make_unique<DayShards>();
-  auto& shards = day_shards_->shards;
-  if (shards.size() != shard_count || !config_.reuse_shard_state) {
-    // Geometry change (thread sweep, population change)
-    // or reuse disabled: retained capacities and hints belong to different
-    // UE ranges — drop the slab and let the day grow it organically, as a
-    // fresh run would.
-    shards.clear();
-    shards.resize(shard_count);
+  auto& slots = day_shards_->slots;
+  if (slots.size() != slot_count || !config_.reuse_shard_state) {
+    // Window change (thread sweep, population change) or reuse disabled:
+    // drop the slots and let the day grow them organically, as a fresh run
+    // would.
+    slots.clear();
+    slots.resize(slot_count);
   }
+  const auto slot_of = [&](std::size_t shard) -> DayShards::Slot& {
+    return slots[shard % slot_count];
+  };
 
   const supervise::TaskFaultInjector* injector =
       supervisor_ != nullptr ? supervisor_->options().injector : nullptr;
-  const auto simulate = [&](DayShards::Shard& s, std::size_t first, std::size_t last,
+  const auto simulate = [&](DayShards::Slot& s, std::size_t first, std::size_t last,
                             std::span<const devices::UeId> skip,
                             const supervise::CancelToken* cancel) {
     // Reset on ENTRY, not after merge: an aborted day or a failed attempt
     // leaves stale contents behind, and entry-reset makes every attempt
     // (including a retry or a transactional replay of the same day)
-    // self-contained. clear() keeps the warm allocation; reserve() only acts
-    // on a cold shard.
+    // self-contained. clear() keeps the warm allocation.
     s.core = corenet::CoreNetwork{};
     s.records.clear();
-    s.records.reserve(s.record_hint);
     s.metrics.clear();
-    if (want_metrics) s.metrics.reserve(s.metrics_hint);
     telemetry::RecordSink* record_sink = &s.records;
     telemetry::MetricsSink* metrics_sink = &s.metrics;
     EmitFrame out;
@@ -368,12 +368,10 @@ void Simulator::simulate_day(int day) {
     simulate_range(day, first, last, skip, out);
   };
   const auto merge = [&](std::size_t shard) {
-    DayShards::Shard& s = shards[shard];
-    s.record_hint = s.records.size();
-    s.metrics_hint = s.metrics.size();
-    // The shard's buffer holds exactly the records it emitted. Counters
-    // shard-reduce in merge order: exact integer sums, no atomics, no
-    // dependence on which worker finished first.
+    DayShards::Slot& s = slot_of(shard);
+    // The slot's buffer holds exactly the records its shard emitted.
+    // Counters shard-reduce in merge order: exact integer sums, no atomics,
+    // no dependence on which worker finished first.
     records_emitted_ += s.records.size();
     s.records.drain_to(sinks_);
     s.metrics.drain_to(metrics_sinks_);
@@ -384,7 +382,7 @@ void Simulator::simulate_day(int day) {
     runner_->run(
         ues.size(),
         [&](std::size_t shard, std::size_t first, std::size_t last) {
-          simulate(shards[shard], first, last, quarantined_ues_, nullptr);
+          simulate(slot_of(shard), first, last, quarantined_ues_, nullptr);
         },
         merge);
   } else {
@@ -392,11 +390,11 @@ void Simulator::simulate_day(int day) {
         *runner_, day, ues.size(), quarantined_ues_,
         [&](std::size_t shard, std::size_t first, std::size_t last,
             const supervise::CancelToken* cancel, std::span<const devices::UeId> skip) {
-          simulate(shards[shard], first, last, skip, cancel);
+          simulate(slot_of(shard), first, last, skip, cancel);
         },
         [&](std::size_t first, std::size_t last, const supervise::CancelToken* cancel,
             std::span<const devices::UeId> skip) {
-          DayShards::Shard scratch;  // probe output is evidence, not data
+          DayShards::Slot scratch;  // probe output is evidence, not data
           simulate(scratch, first, last, skip, cancel);
         },
         merge);
@@ -419,8 +417,8 @@ void Simulator::simulate_day(int day) {
   const bool pressured =
       governor != nullptr && governor->level() != govern::PressureLevel::kSteady;
   if (pressured || !config_.reuse_shard_state) {
-    shards.clear();
-    shards.shrink_to_fit();
+    slots.clear();
+    slots.shrink_to_fit();
   }
 }
 

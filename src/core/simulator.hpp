@@ -9,8 +9,8 @@
 // EPC handover state machine. Everything is deterministic in the seed.
 //
 // A day has one execution path: one UE-range loop (simulate_range) that
-// either writes straight into the sinks (serial) or fills one persistent
-// slab of per-shard staging that merges back in UE order. Sharded days have
+// either writes straight into the sinks (serial) or fills a fixed window of
+// persistent staging slots that merge back in UE order. Sharded days have
 // one scheduler, exec::ShardedDayRunner, at config().threads; an installed
 // supervise::StudySupervisor wraps its shard callback, never replaces it.
 // Every mode emits the same bytes.
@@ -70,10 +70,12 @@ struct DayCheckpoint {
 
 class Simulator {
  public:
-  /// Floor on UEs per shard for the parallel engine: populations below
-  /// threads * shards_per_thread * this no longer fan out into shards too
-  /// small to amortize their fixed setup cost. Output bytes do not depend
-  /// on it.
+  /// UEs per shard on the parallel engine: a sharded day cuts the
+  /// population into ranges of this many UEs (the last may be shorter), so
+  /// the shard count follows the population while one shard's staging stays
+  /// small (about 0.5–1 MB of records on the bench worlds) and its work
+  /// still amortizes the shard's fixed cost. Output bytes do not depend on
+  /// it.
   static constexpr std::size_t kMinUesPerShard = 256;
 
   explicit Simulator(StudyConfig config);
@@ -114,13 +116,13 @@ class Simulator {
   /// the day at the checkpoint cursor advances the cursor; out-of-order
   /// replays leave it alone. With `config().threads` != 1, or a supervisor
   /// installed, the day executes on the parallel engine (src/exec): UE
-  /// shards simulate concurrently into a persistent staging slab and merge
-  /// back in canonical UE order, so sinks — including an attached durable
-  /// log — observe a stream byte-identical to the serial run.
+  /// shards simulate concurrently into a window of persistent staging slots
+  /// and merge back in canonical UE order, so sinks — including an attached
+  /// durable log — observe a stream byte-identical to the serial run.
   void run_day(int day);
 
   /// Installs (or clears, with nullptr) a borrowed supervisor: subsequent
-  /// days hand the simulator's own runner and shard slab to
+  /// days hand the simulator's own runner and staging slots to
   /// StudySupervisor::run_day, which wraps each shard in a ladder of retries
   /// with backoff, watchdog deadlines (cooperative cancellation polled in the
   /// per-trace-event hot loop), and poison-UE bisection + quarantine,
@@ -190,7 +192,7 @@ class Simulator {
   /// Where one UE-day emits: the core network booking its procedures, the
   /// record/metrics sinks receiving its stream, and a record counter. The
   /// serial day aims it at the simulator's own state; sharded days at one
-  /// slab shard's buffers, which merge back in UE order. Keeping every
+  /// staging slot's buffers, which merge back in UE order. Keeping every
   /// mutation behind this frame is what makes simulate_ue_day const — safe
   /// to call concurrently for disjoint UE-days by construction.
   struct EmitFrame {
@@ -208,14 +210,16 @@ class Simulator {
     const supervise::TaskFaultInjector* injector = nullptr;
   };
 
-  /// Per-shard staging state (private CoreNetwork + record/metrics buffers)
-  /// kept across days, for sharded and supervised days alike: shards
-  /// reset-not-reallocate on entry, so day N+1 simulates into warm buffers
-  /// instead of re-paying allocation growth and governor syncs in the hot
-  /// loop. Defined in simulator.cpp.
+  /// Staging slots (private CoreNetwork + record/metrics buffers), one per
+  /// position of the runner's window, kept across days for sharded and
+  /// supervised days alike: a shard resets-not-reallocates its slot on
+  /// entry, so later shards and days simulate into warm buffers instead of
+  /// re-paying allocation growth and governor syncs in the hot loop.
+  /// Defined in simulator.cpp.
   struct DayShards;
   /// The day path: serial days run simulate_range inline into the live
-  /// sinks; sharded and supervised days run it per shard into day_shards_.
+  /// sinks; sharded and supervised days run it per shard into a slot of
+  /// day_shards_.
   void simulate_day(int day);
   /// The one UE-range loop, and the only caller of simulate_ue_day and
   /// simulate_legacy_ue_day: simulates UEs [first, last) of `day` into
@@ -279,8 +283,8 @@ class Simulator {
   /// (and across set_threads() calls that don't change the count). The one
   /// scheduler: supervised days run on it too.
   std::unique_ptr<exec::ShardedDayRunner> runner_;
-  /// Reusable shard staging slab (see DayShards), supervised or not. Rebuilt
-  /// only when the shard geometry changes; released wholesale under memory
+  /// Reusable staging slots (see DayShards), supervised or not. Rebuilt
+  /// only when the slot count changes; released wholesale under memory
   /// pressure.
   std::unique_ptr<DayShards> day_shards_;
   supervise::StudySupervisor* supervisor_ = nullptr;

@@ -10,20 +10,19 @@
 // workers produced it.
 //
 // These buffers are the engine's dominant transient allocation (every
-// in-flight shard holds one), so they report their vector capacities to the
+// staging slot holds one), so they report their vector capacities to the
 // resource governor: each buffer resolves a shared named Accountant at
 // construction (null-safe no-op without a governor) and syncs on capacity
 // changes — a relaxed atomic delta, safe from worker threads, paid only
 // when the vector actually grows.
 //
-// Buffers are built to be REUSED across days: clear() empties the contents
-// but keeps the allocation (and its governor accounting) in place, and
-// reserve() pre-grows in the same doubling steps push-growth would take, so
-// a warm buffer's capacity trajectory — and therefore its byte accounting —
-// is exactly what a fresh buffer reaching the same high-water mark would
-// have reported. Rebuilding the shard vector every day was the root of the
-// sharded path's allocation churn (see DESIGN §4's post-mortem); the
-// simulator now keeps one slab of these per shard for the whole study.
+// Buffers are built to be REUSED across shards and days: clear() empties the
+// contents but keeps the allocation (and its governor accounting) in place,
+// so a warm buffer's capacity — and therefore its byte accounting — is what
+// push-growth reached for the largest run it ever held. Rebuilding the
+// staging every day was the root of the sharded path's allocation churn
+// (see DESIGN §4's post-mortem); the simulator keeps one window of staging
+// slots for the whole study.
 
 #include <cstddef>
 #include <span>
@@ -77,33 +76,14 @@ class AccountedVector {
     items_.push_back(item);
     // Governor sync is batched behind capacity changes: the hot path pays a
     // single pointer-sized compare per push, and the (atomic) accounting
-    // delta only when the vector actually reallocates — which a warm,
-    // pre-reserved buffer never does.
+    // delta only when the vector actually reallocates — which a warm buffer
+    // rarely does.
     if (items_.capacity() != accounted_capacity_) sync();
   }
 
-  /// Empties the contents but keeps the allocation: the day-over-day reuse
-  /// primitive. Accounting is unchanged (capacity is what's accounted).
+  /// Empties the contents but keeps the allocation: the reuse primitive.
+  /// Accounting is unchanged (capacity is what's accounted).
   void clear() noexcept { items_.clear(); }
-
-  /// Pre-grows to hold at least `n` items, stepping capacity through the
-  /// same doubling sequence push-growth uses. Matching the organic growth
-  /// pattern keeps the governor's byte trajectory identical whether a
-  /// buffer was warmed by a hint or grown by pushes — which is what lets
-  /// the reuse tests pin peak accounting against a fresh-state run.
-  void reserve(std::size_t n) {
-    if (n <= items_.capacity()) return;
-    std::size_t cap = std::max<std::size_t>(1, items_.capacity());
-    while (cap < n) cap *= 2;
-    items_.reserve(cap);
-    sync();
-  }
-
-  void release() {
-    items_.clear();
-    items_.shrink_to_fit();
-    sync();
-  }
 
   const std::vector<T>& items() const noexcept { return items_; }
 
@@ -138,22 +118,17 @@ class RecordBuffer final : public telemetry::RecordSink {
 
   /// Hands the whole buffered run to each sink in order (one consume_span
   /// per sink — batch merge, not per-record replay), then clears the buffer
-  /// KEEPING its capacity: the next day's shard writes into warm memory
-  /// instead of re-paying allocation growth. Call release() to give the
-  /// memory back (end of study, or a shard slab being torn down).
+  /// KEEPING its capacity: the slot's next shard writes into warm memory
+  /// instead of re-paying allocation growth. Destroying the buffer gives
+  /// the memory (and its accounting) back.
   void drain_to(std::span<telemetry::RecordSink* const> sinks) {
     for (auto* sink : sinks) sink->consume_span(buffer_.items());
     buffer_.clear();
   }
 
-  /// Pre-grows for an expected record count (e.g. the previous day's
-  /// emission count for this shard). No-op when already large enough.
-  void reserve(std::size_t expected) { buffer_.reserve(expected); }
   /// Empties without releasing capacity (reuse) — the simulate callback
-  /// resets its shard on entry so a retried attempt can never double-emit.
+  /// resets its slot on entry so a retried attempt can never double-emit.
   void clear() noexcept { buffer_.clear(); }
-  /// Releases contents AND capacity (accounting drops to zero).
-  void release() { buffer_.release(); }
 
   std::size_t size() const noexcept { return buffer_.items().size(); }
   const std::vector<telemetry::HandoverRecord>& records() const noexcept {
@@ -177,9 +152,7 @@ class MetricsBuffer final : public telemetry::MetricsSink {
     buffer_.clear();
   }
 
-  void reserve(std::size_t expected) { buffer_.reserve(expected); }
   void clear() noexcept { buffer_.clear(); }
-  void release() { buffer_.release(); }
 
   std::size_t size() const noexcept { return buffer_.items().size(); }
 

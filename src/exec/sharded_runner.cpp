@@ -12,11 +12,9 @@
 
 namespace tl::exec {
 
-ShardedDayRunner::ShardedDayRunner() : ShardedDayRunner(Options{}) {}
-
 ShardedDayRunner::ShardedDayRunner(Options options)
     : options_(options), pool_(options.threads) {
-  if (options_.shards_per_thread == 0) options_.shards_per_thread = 1;
+  if (options_.items_per_shard == 0) options_.items_per_shard = 1;
   shards_total_ = obs::counter("tl_exec_shards_simulated_total",
                                "Shards simulated by the day runner");
   throttle_waits_total_ =
@@ -33,34 +31,31 @@ ShardedDayRunner::ShardedDayRunner(Options options)
 }
 
 std::size_t ShardedDayRunner::shard_count(std::size_t item_count) const noexcept {
-  std::size_t cap = static_cast<std::size_t>(pool_.size()) *
-                    static_cast<std::size_t>(options_.shards_per_thread);
-  if (options_.min_items_per_shard > 1) {
-    // Size floor: never split finer than min_items_per_shard items/shard.
-    // Contiguous ranges merge in ascending order either way, so the shard
-    // count is a pure scheduling knob — output bytes are invariant under it.
-    cap = std::min(cap, std::max<std::size_t>(
-                            1, item_count / options_.min_items_per_shard));
-  }
-  return std::max<std::size_t>(1, std::min(item_count, cap));
+  // Contiguous ranges merge in ascending order whatever their size, so the
+  // shard size is a pure scheduling knob: output bytes are invariant under it.
+  return (item_count + options_.items_per_shard - 1) / options_.items_per_shard;
+}
+
+std::size_t ShardedDayRunner::window(bool pressured) const noexcept {
+  if (options_.max_live_shards != 0) return options_.max_live_shards;
+  const std::size_t workers = pool_.size();
+  return pressured ? workers : 2 * workers;
+}
+
+std::size_t ShardedDayRunner::slot_count(std::size_t item_count) const noexcept {
+  return std::min(shard_count(item_count), window(/*pressured=*/false));
 }
 
 std::size_t ShardedDayRunner::gate_window(std::size_t shards) const {
-  std::size_t window = options_.max_live_shards;
-  if (window == 0) {
-    // Auto: throttle only when the governor reports pressure, and then hold
-    // the staging footprint to roughly one in-flight shard per worker. The
-    // window choice never affects output bytes (merge order is fixed), so
-    // reading the hysteretic level here is safe even though it can differ
-    // between runs.
-    govern::MemoryBudget* governor = govern::global_governor();
-    if (governor == nullptr ||
-        governor->level() == govern::PressureLevel::kSteady) {
-      return 0;
-    }
-    window = pool_.size();
-  }
-  return window >= shards ? 0 : window;
+  // Under pressure the auto window holds the staging footprint to about one
+  // in-flight shard per worker. The window never affects output bytes (merge
+  // order is fixed), so reading the hysteretic level here is safe even
+  // though it can differ between runs.
+  govern::MemoryBudget* governor = govern::global_governor();
+  const bool pressured = governor != nullptr &&
+                         governor->level() != govern::PressureLevel::kSteady;
+  const std::size_t w = window(pressured);
+  return w >= shards ? 0 : w;
 }
 
 void ShardedDayRunner::run(std::size_t item_count, const SimulateFn& simulate,
@@ -68,7 +63,8 @@ void ShardedDayRunner::run(std::size_t item_count, const SimulateFn& simulate,
   if (item_count == 0) return;
   const std::size_t shards = shard_count(item_count);
   // Bounded hand-off: shard s may not start simulating until fewer than
-  // `window` shards sit between it and the merge floor. Tasks are submitted
+  // `window` shards sit between it and the merge floor, which is also what
+  // keeps each staging slot (s % slot_count) exclusive. Tasks are submitted
   // in ascending shard order to a FIFO pool and merged in ascending order,
   // so the gate can only delay starts, never reorder anything — see
   // BackpressureGate for the deadlock-freedom argument. Every early exit
@@ -106,20 +102,24 @@ void ShardedDayRunner::run(std::size_t item_count, const SimulateFn& simulate,
 
   try {
     for (std::size_t shard = 0; shard < shards; ++shard) {
-      const std::size_t first = shard * item_count / shards;
-      const std::size_t last = (shard + 1) * item_count / shards;
+      const std::size_t first = shard * options_.items_per_shard;
+      const std::size_t last = std::min(item_count, first + options_.items_per_shard);
       futures.push_back(pool_.submit([this, &states, &mutex, &shard_done, &simulate,
                                       &gate, shard, first, last] {
-        gate.acquire(shard);
         std::exception_ptr error;
-        obs::ScopedTimer span{shard_sim_seconds_};
-        try {
-          simulate(shard, first, last);
-          span.stop();
-          shards_total_.inc();
-        } catch (...) {
-          span.cancel();  // failed shards must not skew the latency profile
-          error = std::current_exception();
+        // A shard the gate lets through only because run() opened it on an
+        // error path skips its work: the day is already lost, and its slot
+        // may still belong to the shard slot_count() places before it.
+        if (gate.acquire(shard)) {
+          obs::ScopedTimer span{shard_sim_seconds_};
+          try {
+            simulate(shard, first, last);
+            span.stop();
+            shards_total_.inc();
+          } catch (...) {
+            span.cancel();  // failed shards must not skew the latency profile
+            error = std::current_exception();
+          }
         }
         // Notify while holding the lock: the caller destroys `shard_done`
         // (it lives on run()'s stack) as soon as its predicate turns true,

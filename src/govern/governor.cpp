@@ -270,12 +270,14 @@ Accountant account(const std::string& name) {
 
 BackpressureGate::BackpressureGate(std::size_t window) : window_(window) {}
 
-void BackpressureGate::acquire(std::size_t unit) {
-  if (window_ == 0) return;
+bool BackpressureGate::acquire(std::size_t unit) {
+  if (window_ == 0) return true;
   std::unique_lock<std::mutex> lock{mutex_};
-  if (open_ || unit < retired_ + window_) return;
-  waits_.fetch_add(1, std::memory_order_relaxed);
-  admitted_.wait(lock, [&] { return open_ || unit < retired_ + window_; });
+  if (!open_ && unit >= retired_ + window_) {
+    waits_.fetch_add(1, std::memory_order_relaxed);
+    admitted_.wait(lock, [&] { return open_ || unit < retired_ + window_; });
+  }
+  return !open_;
 }
 
 void BackpressureGate::release() {

@@ -267,9 +267,12 @@ class ScopedGlobalGovernor {
 /// Bounded hand-off between producers emitting work units 0..N-1 and a
 /// consumer that retires them in ascending order. acquire(s) blocks until
 /// s < retired + window; release() retires one unit. window 0 = unbounded
-/// (every acquire returns immediately). open() permanently unblocks all
+/// (every acquire returns true immediately). open() permanently unblocks all
 /// waiters — the consumer's error path must call it (or release every
-/// unit) before the producers' futures are waited, or they deadlock.
+/// unit) before the producers' futures are waited, or they deadlock. With a
+/// window, acquire() returns false once the gate is open: the consumer has
+/// given up, and a unit admitted that way is not exclusive with unit
+/// s - window, so the producer must skip its work.
 ///
 /// Deadlock-freedom for window >= 1, producers started in ascending-unit
 /// order on a FIFO pool: at any time let f be the retired floor; unit f is
@@ -280,7 +283,7 @@ class BackpressureGate {
  public:
   explicit BackpressureGate(std::size_t window);
 
-  void acquire(std::size_t unit);
+  bool acquire(std::size_t unit);
   void release();
   void open();
 

@@ -161,10 +161,11 @@ class StudySupervisor {
   /// pin the policy down without measuring wall clock.
   std::uint64_t backoff_ms(int day, std::size_t shard, int attempt) const;
 
-  /// Simulate items [first, last) of `shard` into per-shard staging, from a
-  /// worker thread. MUST reset its shard's staging on entry (retries re-run
-  /// it), skip items in `skip` (sorted), poll `cancel` (also threaded into
-  /// the EmitFrame hot loop), and touch nothing shared.
+  /// Simulate items [first, last) of `shard` into its staging slot
+  /// (ShardedDayRunner::slot_count), from a worker thread. MUST reset that
+  /// staging on entry (retries re-run it), skip items in `skip` (sorted),
+  /// poll `cancel` (also threaded into the EmitFrame hot loop), and touch
+  /// nothing shared.
   using SimulateFn = std::function<void(
       std::size_t shard, std::size_t first, std::size_t last,
       const CancelToken* cancel, std::span<const std::uint32_t> skip)>;

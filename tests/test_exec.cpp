@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -150,15 +152,15 @@ TEST(ThreadPool, ConcurrentShutdownIsSafeAndIdempotent) {
 
 // --- sharded runner ----------------------------------------------------------
 
-ShardedDayRunner::Options runner_options(unsigned threads, unsigned spt = 2) {
+ShardedDayRunner::Options runner_options(unsigned threads, std::size_t items_per_shard) {
   ShardedDayRunner::Options opt;
   opt.threads = threads;
-  opt.shards_per_thread = spt;
+  opt.items_per_shard = items_per_shard;
   return opt;
 }
 
 TEST(ShardedDayRunner, CoversEveryItemExactlyOnceAndMergesInOrder) {
-  ShardedDayRunner runner{runner_options(4)};
+  ShardedDayRunner runner{runner_options(4, 125)};  // 8 shards
   const std::size_t n = 1000;
   const std::size_t shards = runner.shard_count(n);
   ASSERT_GT(shards, 1u);
@@ -184,7 +186,7 @@ TEST(ShardedDayRunner, CoversEveryItemExactlyOnceAndMergesInOrder) {
 TEST(ShardedDayRunner, MergeOrderIgnoresSchedulingSkew) {
   // Early shards sleep longest, so workers finish in roughly reverse shard
   // order — the merge must still run strictly ascending.
-  ShardedDayRunner runner{runner_options(4, 1)};
+  ShardedDayRunner runner{runner_options(4, 16)};  // 4 shards
   const std::size_t n = 64;
   const std::size_t shards = runner.shard_count(n);
   std::vector<std::size_t> merge_order;
@@ -199,7 +201,7 @@ TEST(ShardedDayRunner, MergeOrderIgnoresSchedulingSkew) {
 }
 
 TEST(ShardedDayRunner, SimulateExceptionAbortsMergeAndPropagates) {
-  ShardedDayRunner runner{runner_options(2, 1)};
+  ShardedDayRunner runner{runner_options(2, 8)};
   const std::size_t n = 16;
   const std::size_t shards = runner.shard_count(n);
   ASSERT_EQ(shards, 2u);
@@ -221,7 +223,7 @@ TEST(ShardedDayRunner, TaskHookExceptionPoisonsItsShardDeterministically) {
   // throws from inside simulate) poisons that shard: run() rethrows the
   // first poisoned shard in merge order, type and message intact, and
   // merges nothing at or after it.
-  ShardedDayRunner runner{runner_options(4, 1)};
+  ShardedDayRunner runner{runner_options(4, 16)};  // 4 shards
   ASSERT_GT(runner.shard_count(64), 2u);
   std::vector<std::size_t> merged;
   try {
@@ -239,7 +241,7 @@ TEST(ShardedDayRunner, TaskHookExceptionPoisonsItsShardDeterministically) {
 }
 
 TEST(ShardedDayRunner, MergeExceptionPropagatesWithoutDeadlock) {
-  ShardedDayRunner runner{runner_options(3)};
+  ShardedDayRunner runner{runner_options(3, 17)};  // 6 shards
   std::vector<std::size_t> merged;
   EXPECT_THROW(runner.run(
                    100, [](std::size_t, std::size_t, std::size_t) {},
@@ -253,7 +255,7 @@ TEST(ShardedDayRunner, MergeExceptionPropagatesWithoutDeadlock) {
 }
 
 TEST(ShardedDayRunner, RunnerIsReusableAcrossRuns) {
-  ShardedDayRunner runner{runner_options(2)};
+  ShardedDayRunner runner{runner_options(2, 13)};  // 4 shards
   for (int round = 0; round < 3; ++round) {
     std::atomic<std::size_t> simulated{0};
     std::size_t merged = 0;
@@ -265,6 +267,57 @@ TEST(ShardedDayRunner, RunnerIsReusableAcrossRuns) {
         [&](std::size_t) { ++merged; });
     EXPECT_EQ(simulated.load(), 50u);
     EXPECT_EQ(merged, runner.shard_count(50));
+  }
+}
+
+TEST(ShardedDayRunner, FailedShardNeverSharesItsSlot) {
+  // A window smaller than the shard count recycles staging slots: shard s
+  // stages into slot s % slot_count. A slot is occupied from its shard's
+  // simulate entry until that shard merges, and a failed shard's slot stays
+  // occupied. After shard k fails, run() opens the gate, so every shard
+  // admitted that way must skip simulating: its slot may still belong to a
+  // running shard or to k itself. Shard k + 1 fails first in time, yet k's
+  // exception is the one rethrown, and nothing at or after k merges.
+  constexpr std::size_t kWindow = 2;
+  constexpr std::size_t kItems = 48;
+  ShardedDayRunner::Options opt = runner_options(4, 1);  // 48 shards
+  opt.max_live_shards = kWindow;  // below the worker count: workers queue
+  ShardedDayRunner runner{opt};
+  ASSERT_EQ(runner.slot_count(kItems), kWindow);
+  for (const std::size_t k : {std::size_t{0}, std::size_t{3}, std::size_t{10}}) {
+    for (int round = 0; round < 4; ++round) {
+      SCOPED_TRACE("k=" + std::to_string(k) + " round=" + std::to_string(round));
+      std::array<std::atomic<int>, kWindow> occupancy{};
+      std::atomic<int> collisions{0};
+      std::atomic<std::size_t> highest{0};  // highest shard that simulated
+      std::vector<std::size_t> merged;
+      try {
+        runner.run(
+            kItems,
+            [&](std::size_t shard, std::size_t, std::size_t) {
+              if (occupancy[shard % kWindow].fetch_add(1) != 0) collisions.fetch_add(1);
+              std::size_t seen = highest.load();
+              while (shard > seen && !highest.compare_exchange_weak(seen, shard)) {
+              }
+              if (shard == k + 1) throw std::runtime_error{"shard " + std::to_string(shard)};
+              std::this_thread::sleep_for(std::chrono::milliseconds{shard == k ? 5 : 1});
+              if (shard == k) throw std::runtime_error{"shard " + std::to_string(shard)};
+            },
+            [&](std::size_t shard) {
+              occupancy[shard % kWindow].fetch_sub(1);
+              merged.push_back(shard);
+            });
+        FAIL() << "expected shard " << k << "'s exception";
+      } catch (const std::runtime_error& error) {
+        EXPECT_EQ(std::string{error.what()}, "shard " + std::to_string(k));
+      }
+      EXPECT_EQ(collisions.load(), 0);
+      ASSERT_EQ(merged.size(), k);
+      for (std::size_t s = 0; s < k; ++s) EXPECT_EQ(merged[s], s);
+      // With shards 0..k-1 merged at most, the window admits shards below
+      // k + kWindow; anything later came through the opened gate.
+      EXPECT_LT(highest.load(), k + kWindow);
+    }
   }
 }
 
@@ -450,15 +503,14 @@ TEST(Determinism, DurableLogBytesAreIdenticalAcrossThreadCounts) {
 
 // --- shard-state reuse across days -------------------------------------------
 //
-// Sharded and supervised days share one per-shard slab (CoreNetwork +
-// record/metrics buffers) that stays alive across days and resets at
-// simulate-callback entry; StudyConfig::reuse_shard_state = false restores
-// the old reconstruct-every-day behavior. The two modes must be
-// indistinguishable in every observable, whether ShardedDayRunner or
-// StudySupervisor drives the slab: record bytes, metrics rows, WAL bytes,
-// engine counters, and the governor's peak accounting (warm buffers
-// re-reserve through the same capacity-doubling brackets organic growth
-// uses, so the byte high-water mark is the same trajectory either way).
+// Sharded and supervised days share one window of staging slots (CoreNetwork
+// + record/metrics buffers) that stays alive across days and resets at
+// simulate-callback entry; StudyConfig::reuse_shard_state = false rebuilds
+// the slots every day. The two modes must be indistinguishable in every
+// observable, whether ShardedDayRunner or StudySupervisor drives the slots:
+// record bytes, metrics rows, WAL bytes, engine counters, and the governor's
+// peak accounting (warm and rebuilt buffers reach the same capacity-doubling
+// brackets on this world, so the byte high-water mark is the same).
 
 struct ReuseCapture {
   std::vector<std::uint8_t> record_bytes;
@@ -583,6 +635,141 @@ TEST(ShardStateReuse, SupervisedDaysReuseTheSameSlab) {
     expect_reuse_eq(warm, fresh);
     EXPECT_GT(warm.record_buffer_bytes, 0u);
     EXPECT_EQ(fresh.record_buffer_bytes, 0u);
+  }
+}
+
+// --- bounded staging ---------------------------------------------------------
+//
+// Sharded days cut fixed 256-UE shards behind an always-on window, so staging
+// is one slot per window position whatever the population. The record-buffer
+// peak is therefore exactly one window of slots, each holding the capacity
+// push-growth reaches for the largest shard it staged: at 4N UEs the shard
+// count quadruples but the slot count does not, and both populations still
+// emit the serial run's stream and WAL bytes.
+
+/// Samples one governor account at every day end and keeps its maximum.
+class AccountPeakSink final : public telemetry::RecordSink {
+ public:
+  explicit AccountPeakSink(govern::Accountant account) : account_(account) {}
+  void consume(const HandoverRecord&) override {}
+  void on_day_end(int) override { peak_ = std::max(peak_, account_.bytes()); }
+  std::uint64_t peak() const noexcept { return peak_; }
+
+ private:
+  govern::Accountant account_;
+  std::uint64_t peak_ = 0;
+};
+
+/// Each shard's record count: the ordered merge hands every sink one span
+/// per shard, in shard order, and each day ends with on_day_end.
+class ShardSizeSink final : public telemetry::RecordSink {
+ public:
+  void consume(const HandoverRecord&) override { ADD_FAILURE() << "expected spans"; }
+  void consume_span(std::span<const HandoverRecord> records) override {
+    days_.back().push_back(records.size());
+  }
+  void on_day_end(int) override { days_.emplace_back(); }
+  const std::vector<std::vector<std::size_t>>& days() const noexcept { return days_; }
+
+ private:
+  std::vector<std::vector<std::size_t>> days_{1};
+};
+
+struct StagingCapture {
+  std::vector<std::uint8_t> record_bytes;
+  std::string wal;
+  std::uint64_t record_buffer_peak = 0;
+  std::vector<std::vector<std::size_t>> shard_records;  ///< per day, per shard
+};
+
+StagingCapture run_staging_arm(std::uint32_t ues, unsigned threads,
+                               const std::string& dir) {
+  StudyConfig cfg = StudyConfig::test_scale();
+  cfg.days = 2;
+  cfg.population.count = ues;
+  // Declared before the simulator so it outlives the slots that book into it.
+  govern::MemoryBudget budget;  // budget 0: accounting only, always Steady
+  Simulator sim{cfg};
+  govern::ScopedGlobalGovernor install{&budget};
+
+  RecordLog::Options opt;
+  opt.directory = dir;
+  RecordLog log{io::StdioFileSystem::instance(), opt};
+  telemetry::DurableRecordSink durable{log};
+  log.open();
+  telemetry::SignalingDataset dataset;
+  AccountPeakSink peak{budget.accountant("exec_record_buffers")};
+  ShardSizeSink sizes;
+  sim.set_threads(threads);
+  sim.attach_durable_log(&durable);
+  sim.add_sink(&dataset);
+  sim.add_sink(&peak);
+  if (threads > 1) sim.add_sink(&sizes);
+  sim.run();
+  sim.remove_sink(&sizes);
+  sim.remove_sink(&peak);
+  sim.remove_sink(&dataset);
+  sim.remove_sink(&durable);
+
+  StagingCapture c;
+  for (const auto& record : dataset.records()) {
+    RecordLog::encode_record(record, c.record_bytes);
+  }
+  c.wal = log_bytes(dir);
+  c.record_buffer_peak = peak.peak();
+  c.shard_records = sizes.days();
+  c.shard_records.pop_back();  // the empty entry after the last day
+  return c;
+}
+
+/// The record-buffer bytes `slots` warm slots hold after staging the given
+/// shards, shard s in slot s % slots: each slot keeps the capacity
+/// push-growth reaches for the largest shard it held.
+std::uint64_t window_bytes(const std::vector<std::vector<std::size_t>>& shard_records,
+                           std::size_t slots) {
+  std::vector<std::size_t> largest(slots, 0);
+  for (const auto& day : shard_records) {
+    for (std::size_t s = 0; s < day.size(); ++s) {
+      largest[s % slots] = std::max(largest[s % slots], day[s]);
+    }
+  }
+  std::uint64_t bytes = 0;
+  for (const std::size_t n : largest) {
+    std::vector<HandoverRecord> grown;
+    for (std::size_t i = 0; i < n; ++i) grown.emplace_back();
+    bytes += grown.capacity() * sizeof(HandoverRecord);
+  }
+  return bytes;
+}
+
+TEST(BoundedStaging, RecordBufferPeakIsOneWindowOfSlotsAtAnyPopulation) {
+  constexpr std::uint32_t kUes = 2'000;
+  for (const std::uint32_t ues : {kUes, 4 * kUes}) {
+    SCOPED_TRACE("ues=" + std::to_string(ues));
+    TempDir serial_dir{"staging_serial_" + std::to_string(ues)};
+    const StagingCapture serial = run_staging_arm(ues, 1, serial_dir.path);
+    ASSERT_FALSE(serial.record_bytes.empty());
+    ASSERT_FALSE(serial.wal.empty());
+    EXPECT_EQ(serial.record_buffer_peak, 0u);  // the serial path stages nothing
+    for (const unsigned threads : {2u, 4u}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      TempDir dir{"staging_" + std::to_string(ues) + "_" + std::to_string(threads)};
+      const StagingCapture sharded = run_staging_arm(ues, threads, dir.path);
+      EXPECT_EQ(sharded.record_bytes, serial.record_bytes);
+      EXPECT_EQ(sharded.wal, serial.wal);
+
+      ShardedDayRunner::Options geometry;
+      geometry.threads = threads;
+      geometry.items_per_shard = Simulator::kMinUesPerShard;
+      const ShardedDayRunner runner{geometry};
+      const std::size_t slots = runner.slot_count(ues);
+      EXPECT_EQ(slots, 2u * threads);  // the auto window, at N and 4N alike
+      ASSERT_EQ(sharded.shard_records.size(), 2u);
+      for (const auto& day : sharded.shard_records) {
+        ASSERT_EQ(day.size(), runner.shard_count(ues));
+      }
+      EXPECT_EQ(sharded.record_buffer_peak, window_bytes(sharded.shard_records, slots));
+    }
   }
 }
 

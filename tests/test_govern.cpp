@@ -340,12 +340,13 @@ TEST(BackpressureGate, OpenPermanentlyUnblocksWaiters) {
 
 /// Runs a deterministic per-item payload through the runner and returns the
 /// merged stream; also reports the peak number of admitted-but-unmerged
-/// shards, which the gate must bound.
+/// shards, which the gate must bound. 12 shards of 250 items at every
+/// thread count, so every window below (auto included) throttles.
 std::vector<std::uint64_t> run_throttled(unsigned threads, std::size_t window,
                                          std::size_t* peak_live = nullptr) {
   exec::ShardedDayRunner::Options opt;
   opt.threads = threads;
-  opt.shards_per_thread = 3;
+  opt.items_per_shard = 250;
   opt.max_live_shards = window;
   exec::ShardedDayRunner runner{opt};
 
@@ -386,12 +387,10 @@ TEST(BackpressureRunner, ThrottledMergeIsByteIdenticalAtEveryWindow) {
           run_throttled(threads, window, &peak_live);
       EXPECT_EQ(merged, reference)
           << "threads=" << threads << " window=" << window;
-      if (window > 0) {
-        // The footprint bound: never more than `window` shards admitted
-        // past the gate and not yet merged.
-        EXPECT_LE(peak_live, window)
-            << "threads=" << threads << " window=" << window;
-      }
+      // The footprint bound: never more than `window` shards admitted
+      // past the gate and not yet merged; auto is 2 x threads at Steady.
+      EXPECT_LE(peak_live, window > 0 ? window : 2 * threads)
+          << "threads=" << threads << " window=" << window;
     }
   }
 }
@@ -405,7 +404,9 @@ TEST(BackpressureRunner, AutoWindowClampsUnderPressureWithoutChangingBytes) {
   a.add(95);  // Critical on the next level() read
   ScopedGlobalGovernor install{&governor};
   EXPECT_EQ(governor.level(), PressureLevel::kCritical);
-  EXPECT_EQ(run_throttled(4, 0), reference);
+  std::size_t peak_live = 0;
+  EXPECT_EQ(run_throttled(4, 0, &peak_live), reference);
+  EXPECT_LE(peak_live, 4u);  // clamped to one shard per worker
 }
 
 // --- allocation-failure taxonomy + degraded retries --------------------------

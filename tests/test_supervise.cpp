@@ -301,13 +301,13 @@ TEST(TaskFaultInjectorTest, OnTaskBeginThrowsTheDecidedExceptionType) {
 
 // --- supervisor over synthetic items ----------------------------------------
 
-/// The synthetic days' engine: 2 workers x 2 shards per worker, so 96 items
+/// The synthetic days' engine: 2 workers and shards of 24 items, so 96 items
 /// split into four shards of 24.
 exec::ShardedDayRunner& synthetic_runner() {
   static exec::ShardedDayRunner runner{[] {
     exec::ShardedDayRunner::Options opt;
     opt.threads = 2;
-    opt.shards_per_thread = 2;
+    opt.items_per_shard = 24;
     return opt;
   }()};
   return runner;
@@ -869,10 +869,10 @@ TEST(SupervisedSimulator, BooksSuccessfulAttemptsAndMergesAsExecStages) {
   ASSERT_GT(failed, 0u) << "the storm must fail some attempts";
   ASSERT_TRUE(summary.quarantine.items.empty());
   // Without quarantine, every shard of every day succeeds exactly once. The
-  // geometry is the study's: a runner at the same threads and UE floor.
+  // geometry is the study's: a runner at the same threads and shard size.
   exec::ShardedDayRunner::Options geometry;
   geometry.threads = 2;
-  geometry.min_items_per_shard = Simulator::kMinUesPerShard;
+  geometry.items_per_shard = Simulator::kMinUesPerShard;
   const std::uint64_t shard_days =
       exec::ShardedDayRunner{geometry}.shard_count(
           SupWorld::instance().sim->population().size()) *
