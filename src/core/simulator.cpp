@@ -499,6 +499,8 @@ void Simulator::simulate_ue_day(const devices::Ue& ue, const mobility::UePlan& p
                                     static_cast<std::uint64_t>(day));
   const mobility::DailyTrace trace = traces_->generate(ue, plan, day);
 
+  // Dwell visits and the day's metrics feed only the metrics sinks.
+  const bool want_metrics = !out.metrics_sinks.empty();
   mobility::MobilityMetricsBuilder metrics;
 
   // Initial serving sector: where the UE wakes up (home at midnight).
@@ -632,8 +634,10 @@ void Simulator::simulate_ue_day(const devices::Ue& ue, const mobility::UePlan& p
 
     if (outcome.success) {
       // Book the dwell on the sector we are leaving, then switch.
-      metrics.add_visit(serving, deployment_->site(source.site).location,
-                        static_cast<double>(ho_time - serving_since));
+      if (want_metrics) {
+        metrics.add_visit(serving, deployment_->site(source.site).location,
+                          static_cast<double>(ho_time - serving_since));
+      }
       pstate.previous_serving = serving;
       pstate.last_ho_time = ho_time;
       serving = target;
@@ -649,7 +653,7 @@ void Simulator::simulate_ue_day(const devices::Ue& ue, const mobility::UePlan& p
     }
   }
 
-  if (!out.metrics_sinks.empty()) {
+  if (want_metrics) {
     if (serving != kInvalidSector) {
       const auto& last = deployment_->sector(serving);
       metrics.add_visit(serving, deployment_->site(last.site).location,

@@ -122,6 +122,11 @@ Catalog Catalog::build(const CatalogConfig& config) {
     catalog.models_by_type_[type_idx].push_back(i);
     catalog.model_weights_by_type_[type_idx].push_back(base * skew);
   }
+  for (std::size_t t = 0; t < catalog.model_weights_by_type_.size(); ++t) {
+    for (const double w : catalog.model_weights_by_type_[t]) {
+      catalog.model_weight_totals_[t] += w;
+    }
+  }
   return catalog;
 }
 
@@ -130,11 +135,8 @@ const DeviceModel& Catalog::sample_model(DeviceType type, util::Rng& rng) const 
   const auto& indices = models_by_type_[type_idx];
   const auto& weights = model_weights_by_type_[type_idx];
   if (indices.empty()) throw std::logic_error{"Catalog: no models for type"};
-  // Linear CDF walk is fine here: sampling happens once per UE at build time
-  // and the per-type model lists are short.
-  double total = 0.0;
-  for (const double w : weights) total += w;
-  double u = rng.uniform() * total;
+  // Linear CDF walk is fine here: sampling happens once per UE at build time.
+  double u = rng.uniform() * model_weight_totals_[type_idx];
   for (std::size_t i = 0; i < indices.size(); ++i) {
     u -= weights[i];
     if (u <= 0.0) return models_[indices[i]];

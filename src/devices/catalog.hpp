@@ -68,9 +68,11 @@ class Catalog {
  private:
   std::vector<Manufacturer> manufacturers_;
   std::vector<DeviceModel> models_;
-  // Per device type: model indices and their sampling weights.
+  // Per device type: model indices, their sampling weights and the weights'
+  // sum (added in model order).
   std::array<std::vector<std::size_t>, 3> models_by_type_;
   std::array<std::vector<double>, 3> model_weights_by_type_;
+  std::array<double, 3> model_weight_totals_{};
 };
 
 /// The paper's device-type shares (Fig. 4a).

@@ -12,14 +12,34 @@
 #else
 #include <unistd.h>
 #endif
+#ifdef __linux__
+#include <fcntl.h>
+#endif
 
 namespace tl::io {
 namespace {
 
 namespace stdfs = std::filesystem;
 
+/// A file that has taken this many bytes since its last hint or sync asks
+/// the kernel to start writing its dirty pages back.
+constexpr std::size_t kWritebackHintBytes = std::size_t{1} << 20;
+
 [[noreturn]] void throw_errno(const std::string& op, const std::string& path) {
   throw IoError{op + " failed on " + path + ": " + std::strerror(errno)};
+}
+
+/// Starts writeback of the file's dirty pages and returns without waiting
+/// (Linux only; elsewhere sync() writes everything). No WAIT flag, so a
+/// writeback error is neither waited on nor consumed here: it stays recorded
+/// on the file for the next fsync() to report. The result is ignored because
+/// the hint promises nothing; pages it did not submit are still dirty.
+void start_writeback(std::FILE* f) noexcept {
+#ifdef __linux__
+  (void)::sync_file_range(fileno(f), 0, 0, SYNC_FILE_RANGE_WRITE);
+#else
+  (void)f;
+#endif
 }
 
 class StdioFile final : public File {
@@ -30,6 +50,11 @@ class StdioFile final : public File {
   std::size_t write(const void* data, std::size_t size) override {
     const std::size_t n = std::fwrite(data, 1, size, f_);
     if (n < size && std::ferror(f_)) throw_errno("write", path_);
+    unhinted_ += n;
+    if (unhinted_ >= kWritebackHintBytes) {
+      start_writeback(f_);
+      unhinted_ = 0;
+    }
     return n;
   }
 
@@ -56,6 +81,7 @@ class StdioFile final : public File {
 #else
     if (::fsync(fileno(f_)) != 0) throw_errno("fsync", path_);
 #endif
+    unhinted_ = 0;
   }
 
   std::uint64_t size() override {
@@ -77,6 +103,7 @@ class StdioFile final : public File {
  private:
   std::FILE* f_;
   std::string path_;
+  std::size_t unhinted_ = 0;  // bytes written since the last hint or sync
 };
 
 const char* mode_string(OpenMode mode) noexcept {

@@ -120,6 +120,16 @@ void write_file_atomic(FileSystem& fs, const std::string& path,
 
 /// The real filesystem: stdio streams + POSIX fsync + std::filesystem
 /// metadata operations. Stateless; the singleton is shared freely.
+///
+/// On Linux each writable file starts the kernel's writeback of its dirty
+/// pages after every 1 MiB written since its last hint or sync()
+/// (sync_file_range with SYNC_FILE_RANGE_WRITE only), so a long write stream
+/// reaches the disk while it is still being produced and the sync() that
+/// ends it waits for about its last MiB. The hint is not a barrier: it does
+/// not wait, makes nothing durable and adds no operation on the seam, so
+/// sync() stays the one commit point. It leaves writeback errors recorded
+/// for the next fsync to report, and its own result is ignored: pages it did
+/// not submit stay dirty and sync() writes them.
 class StdioFileSystem final : public FileSystem {
  public:
   std::unique_ptr<File> open(const std::string& path, OpenMode mode) override;

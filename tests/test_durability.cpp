@@ -708,7 +708,12 @@ TEST(RecordLogTest, WriterMemoryIsBoundedByTheWriteChunk) {
   EXPECT_EQ(ffs.ops() - ops_before,
             kRecords * RecordLog::kRecordFrameSize / opt.write_chunk_bytes);
 
+  // The commit adds the last partial chunk (with the marker) and one sync.
+  // The chaos harness schedules faults by seam-op index, so the streamed
+  // day's writeback (started below the seam) must add no op here.
+  const std::uint64_t ops_before_commit = ffs.ops();
   log.commit_day(0, {});
+  EXPECT_EQ(ffs.ops() - ops_before_commit, 2u);
   EXPECT_LE(staging.bytes(), bound);
   const std::vector<HandoverRecord> back = RecordLog::read_all(real, tmp.path);
   ASSERT_EQ(back.size(), kRecords);
@@ -719,60 +724,76 @@ TEST(RecordLogTest, WriterMemoryIsBoundedByTheWriteChunk) {
 
 TEST(RecordLogTest, DiscardedStreamedDayIsTruncatedBeforeTheNextWrite) {
   auto& real = io::StdioFileSystem::instance();
-  constexpr std::uint32_t kRecords = 40;  // 2,320 bytes: 36 chunks of 64
-  const auto options = [](const std::string& dir) {
+  struct Shape {
+    std::uint32_t records;
+    std::size_t chunk;
+  };
+  // Short days in tiny chunks; and days past the file's 1 MiB writeback
+  // hint in 64 KiB chunks, whose discarded bytes were already handed to
+  // the kernel's writeback when the next write cuts them.
+  constexpr Shape kShort{40, 64};          // 2,320 bytes: 36 chunks of 64
+  constexpr Shape kLong{20'000, 1 << 16};  // 1.16 MB: 17 chunks of 64 KiB
+  const auto options = [](const std::string& dir, const Shape& shape) {
     RecordLog::Options opt;
     opt.directory = dir;
-    opt.write_chunk_bytes = 64;
+    opt.write_chunk_bytes = shape.chunk;
     return opt;
   };
-  const auto append_day = [](RecordLog& log, int day) {
-    for (std::uint32_t i = 0; i < kRecords; ++i) log.append(make_record(day, i));
+  const auto append_day = [](RecordLog& log, int day, const Shape& shape) {
+    for (std::uint32_t i = 0; i < shape.records; ++i) log.append(make_record(day, i));
   };
 
-  // The oracle: the same two days, never discarded.
-  TempDir ref{"log_discard_ref"};
-  {
-    RecordLog log{real, options(ref.path)};
-    log.open();
-    append_day(log, 0);
-    log.commit_day(0, {});
-    append_day(log, 1);
-    log.commit_day(1, {});
+  // Arm 1: day 1 streams, is discarded, then runs again and commits; the
+  // oracle runs the same two days, never discarded.
+  for (const Shape& shape : {kShort, kLong}) {
+    SCOPED_TRACE(shape.records);
+    TempDir ref{"log_discard_ref"};
+    {
+      RecordLog log{real, options(ref.path, shape)};
+      log.open();
+      append_day(log, 0, shape);
+      log.commit_day(0, {});
+      append_day(log, 1, shape);
+      log.commit_day(1, {});
+    }
+    TempDir tmp{"log_discard"};
+    {
+      io::FaultyFileSystem ffs{real, io::IoFaultPlan{}, 0};  // counts writes only
+      RecordLog log{ffs, options(tmp.path, shape)};
+      log.open();
+      append_day(log, 0, shape);
+      log.commit_day(0, {});
+      const std::uint64_t ops_before = ffs.ops();
+      append_day(log, 1, shape);
+      ASSERT_EQ(ffs.ops() - ops_before,
+                shape.records * RecordLog::kRecordFrameSize / shape.chunk);
+      log.discard_day();
+      EXPECT_EQ(log.buffered_records(), 0u);
+      append_day(log, 1, shape);
+      log.commit_day(1, {});
+    }
+    const std::string got = log_bytes(tmp.path);
+    const std::string want = log_bytes(ref.path);
+    ASSERT_EQ(got.size(), want.size());
+    EXPECT_TRUE(got == want) << "first difference at byte "
+                             << std::mismatch(got.begin(), got.end(), want.begin()).first -
+                                    got.begin();
   }
-
-  // Arm 1: day 1 streams, is discarded, then runs again and commits.
-  TempDir tmp{"log_discard"};
-  {
-    io::FaultyFileSystem ffs{real, io::IoFaultPlan{}, 0};  // counts writes only
-    RecordLog log{ffs, options(tmp.path)};
-    log.open();
-    append_day(log, 0);
-    log.commit_day(0, {});
-    const std::uint64_t ops_before = ffs.ops();
-    append_day(log, 1);
-    ASSERT_EQ(ffs.ops() - ops_before, kRecords * RecordLog::kRecordFrameSize / 64);
-    log.discard_day();
-    EXPECT_EQ(log.buffered_records(), 0u);
-    append_day(log, 1);
-    log.commit_day(1, {});
-  }
-  EXPECT_EQ(log_bytes(tmp.path), log_bytes(ref.path));
 
   // Arm 2: the log closes after the discard; recovery drops the tail.
   TempDir closed{"log_discard_closed"};
   {
-    RecordLog log{real, options(closed.path)};
+    RecordLog log{real, options(closed.path, kShort)};
     log.open();
-    append_day(log, 0);
+    append_day(log, 0, kShort);
     log.commit_day(0, {});
-    append_day(log, 1);
+    append_day(log, 1, kShort);
     log.discard_day();
   }
-  RecordLog log{real, options(closed.path)};
+  RecordLog log{real, options(closed.path, kShort)};
   const LogRecoveryReport rep = log.open();
   EXPECT_EQ(rep.last_committed_day, 0);
-  EXPECT_EQ(rep.committed_records, kRecords);
+  EXPECT_EQ(rep.committed_records, kShort.records);
   EXPECT_GT(rep.dropped_records, 0u);
   struct DaySink final : telemetry::RecordSink {
     std::uint64_t records = 0;
@@ -780,8 +801,8 @@ TEST(RecordLogTest, DiscardedStreamedDayIsTruncatedBeforeTheNextWrite) {
     void consume(const HandoverRecord&) override { ++records; }
     void on_day_end(int day) override { days.push_back(day); }
   } replayed;
-  EXPECT_EQ(RecordLog::replay(real, closed.path, replayed), kRecords);
-  EXPECT_EQ(replayed.records, kRecords);
+  EXPECT_EQ(RecordLog::replay(real, closed.path, replayed), kShort.records);
+  EXPECT_EQ(replayed.records, kShort.records);
   EXPECT_EQ(replayed.days, std::vector<int>{0});
 }
 

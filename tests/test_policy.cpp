@@ -198,7 +198,10 @@ TEST(BaselineByteIdentity, ThreadSweepReproducesTheGoldenBytes) {
 /// resumed WAL's CRC.
 std::uint32_t kill_resume_wal_crc(const StudyConfig& config) {
   auto& real = io::StdioFileSystem::instance();
-  TempDir dir{"kill_resume"};
+  // Two tests call this, and ctest runs them as parallel processes: each
+  // needs its own directory.
+  TempDir dir{std::string{"kill_resume_"} +
+              ::testing::UnitTest::GetInstance()->current_test_info()->name()};
   RecordLog::Options opt;
   opt.directory = dir.path;
 
